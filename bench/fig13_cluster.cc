@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/runtime/cluster.h"
+#include "src/runtime/sharded_cluster.h"
 #include "src/stats/table.h"
 #include "src/workload/cluster_mix.h"
 
@@ -79,7 +79,7 @@ struct ScaleResult {
 
 ScaleResult RunScale(const BenchGeometry& geo, size_t hosts,
                      PlacementPolicy placement, std::ostream* dump = nullptr) {
-  Cluster cluster(MakeConfig(geo, hosts, placement));
+  ShardedCluster cluster({MakeConfig(geo, hosts, placement)});
   std::vector<std::unique_ptr<AccessStream>> streams;
   std::vector<ClusterAppSpec> specs;
   std::vector<Pid> pids;
@@ -112,8 +112,8 @@ ScaleResult RunScale(const BenchGeometry& geo, size_t hosts,
   }
   out.p50_remote_ns = merged.Percentile(0.5);
   out.p99_remote_ns = merged.Percentile(0.99);
-  out.fabric_queue_delay_mean_ns = cluster.fabric().queue_delay_hist().Mean();
   const ClusterStats stats = cluster.Stats();
+  out.fabric_queue_delay_mean_ns = stats.fabric_queue_delay_mean_ns;
   out.fabric_ops = stats.fabric_ops;
   out.slab_imbalance = stats.SlabImbalance();
   out.capacity_exhausted =

@@ -12,7 +12,11 @@
 // cluster runs under FIFO links (baseline), strict demand-priority links,
 // and per-tenant DRR links - each with the budget governor off and on
 // (stacked source + link QoS). Victim demand-read p99 is the headline:
-// both schedulers must beat FIFO under the storm.
+// both schedulers must beat FIFO under the storm. The FIFO rows are the
+// budget-governor experiment on its own: every row also reports the
+// prefetch hit/unused volume, prefetches per miss for the antagonist and
+// a victim (the time-averaged effective window), the governor's shrink
+// events, and the all-class fabric queue-delay mean.
 //
 // Usage: fig15_qos [--smoke] [--timeseries[=path]] [output.json]
 //   --smoke       smaller footprints/accesses for CI (still 8 hosts)
@@ -27,7 +31,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/runtime/cluster.h"
+#include "src/runtime/sharded_cluster.h"
 #include "src/stats/table.h"
 
 namespace leap {
@@ -70,9 +74,17 @@ struct QosResult {
   uint64_t downlink_prefetch_ops = 0;
   uint64_t total_remote_reads = 0;  // determinism fingerprint
   SimTimeNs max_completion_ns = 0;
+  uint64_t prefetch_unused = 0;
+  uint64_t prefetch_hits = 0;
+  // Time-averaged effective window: prefetches issued per cache miss
+  // (the AIMD sawtooth makes end-of-run budget snapshots uninformative).
+  double antagonist_pf_per_miss = 0.0;
+  double victim_pf_per_miss = 0.0;
+  uint64_t shrink_events = 0;
+  double fabric_qdelay_mean_ns = 0.0;
 };
 
-// `timeseries_path` non-empty enables the StatsSampler on this run (pure
+// `timeseries_path` non-empty enables the stats sampler on this run (pure
 // observation; measured numbers are bit-identical either way) and `dump`
 // non-null gets the human-readable cluster stats dump.
 QosResult RunOnce(const BenchGeometry& geo, LinkSchedulerKind sched,
@@ -91,7 +103,7 @@ QosResult RunOnce(const BenchGeometry& geo, LinkSchedulerKind sched,
   }
   config.seed = 91;
   config.sampler.enabled = !timeseries_path.empty();
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
 
   std::vector<std::unique_ptr<AccessStream>> streams;
   std::vector<ClusterAppSpec> specs;
@@ -149,11 +161,23 @@ QosResult RunOnce(const BenchGeometry& geo, LinkSchedulerKind sched,
   for (const RunResult& r : results) {
     out.max_completion_ns = std::max(out.max_completion_ns, r.completion_ns);
   }
-  if (!timeseries_path.empty() && cluster.sampler() != nullptr) {
+  out.prefetch_unused = stats.totals.Get(counter::kPrefetchUnused);
+  out.prefetch_hits = stats.totals.Get(counter::kPrefetchHits);
+  out.antagonist_pf_per_miss = cluster.host(0).counters().Ratio(
+      counter::kPrefetchIssued, counter::kCacheMisses);
+  out.victim_pf_per_miss = cluster.host(1).counters().Ratio(
+      counter::kPrefetchIssued, counter::kCacheMisses);
+  if (governed) {
+    for (size_t h = 0; h < geo.hosts; ++h) {
+      out.shrink_events += cluster.host(h).governor()->shrink_events();
+    }
+  }
+  out.fabric_qdelay_mean_ns = stats.fabric_queue_delay_mean_ns;
+  if (!timeseries_path.empty()) {
     std::ofstream ts(timeseries_path);
-    cluster.sampler()->WriteJsonl(ts);
+    WriteJsonl(cluster.samples(), ts);
     std::printf("wrote %s (%zu samples)\n", timeseries_path.c_str(),
-                cluster.sampler()->samples().size());
+                cluster.samples().size());
   }
   if (dump != nullptr) {
     cluster.DumpStats(*dump);
@@ -162,7 +186,7 @@ QosResult RunOnce(const BenchGeometry& geo, LinkSchedulerKind sched,
 }
 
 void PrintRow(TextTable& table, const QosResult& r) {
-  char p50[32], p99[32], ap99[32], waste[32], dq[32], pq[32];
+  char p50[32], p99[32], ap99[32], waste[32], dq[32], pq[32], apf[32];
   std::snprintf(p50, sizeof(p50), "%.2f", ToUs(r.victim_demand_p50_ns));
   std::snprintf(p99, sizeof(p99), "%.2f", ToUs(r.victim_demand_p99_ns));
   std::snprintf(ap99, sizeof(ap99), "%.2f",
@@ -170,8 +194,9 @@ void PrintRow(TextTable& table, const QosResult& r) {
   std::snprintf(waste, sizeof(waste), "%.3f", r.wasted_ratio);
   std::snprintf(dq, sizeof(dq), "%.2f", r.demand_qdelay_mean_ns / 1000.0);
   std::snprintf(pq, sizeof(pq), "%.2f", r.prefetch_qdelay_mean_ns / 1000.0);
+  std::snprintf(apf, sizeof(apf), "%.2f", r.antagonist_pf_per_miss);
   table.AddRow({LinkSchedulerKindName(r.sched), r.governed ? "on" : "off",
-                p50, p99, ap99, waste, dq, pq});
+                p50, p99, ap99, waste, dq, pq, apf});
 }
 
 void EmitResult(FILE* f, const char* key, const QosResult& r,
@@ -183,7 +208,11 @@ void EmitResult(FILE* f, const char* key, const QosResult& r,
       "\"antagonist_demand_p99_ns\": %llu, \"wasted_prefetch_ratio\": %.4f, "
       "\"demand_qdelay_mean_ns\": %.1f, \"prefetch_qdelay_mean_ns\": %.1f, "
       "\"downlink_demand_ops\": %llu, \"downlink_prefetch_ops\": %llu, "
-      "\"remote_reads\": %llu, \"max_completion_ns\": %llu}%s\n",
+      "\"remote_reads\": %llu, \"max_completion_ns\": %llu, "
+      "\"prefetch_unused\": %llu, \"prefetch_hits\": %llu, "
+      "\"antagonist_pf_per_miss\": %.2f, \"victim_pf_per_miss\": %.2f, "
+      "\"governor_shrink_events\": %llu, "
+      "\"fabric_qdelay_mean_ns\": %.1f}%s\n",
       key, LinkSchedulerKindName(r.sched), r.governed ? "on" : "off",
       static_cast<unsigned long long>(r.victim_demand_p50_ns),
       static_cast<unsigned long long>(r.victim_demand_p99_ns),
@@ -192,7 +221,12 @@ void EmitResult(FILE* f, const char* key, const QosResult& r,
       static_cast<unsigned long long>(r.downlink_demand_ops),
       static_cast<unsigned long long>(r.downlink_prefetch_ops),
       static_cast<unsigned long long>(r.total_remote_reads),
-      static_cast<unsigned long long>(r.max_completion_ns), trailing);
+      static_cast<unsigned long long>(r.max_completion_ns),
+      static_cast<unsigned long long>(r.prefetch_unused),
+      static_cast<unsigned long long>(r.prefetch_hits),
+      r.antagonist_pf_per_miss, r.victim_pf_per_miss,
+      static_cast<unsigned long long>(r.shrink_events),
+      r.fabric_qdelay_mean_ns, trailing);
 }
 
 void WriteJson(const char* path, const BenchGeometry& geo,
@@ -287,7 +321,8 @@ void Run(const bench::BenchArgs& args) {
   TextTable table;
   table.SetHeader({"scheduler", "governor", "victim p50(us)",
                    "victim p99(us)", "antag p99(us)", "wasted ratio",
-                   "demand qdelay(us)", "prefetch qdelay(us)"});
+                   "demand qdelay(us)", "prefetch qdelay(us)",
+                   "antag pf/miss"});
   for (const QosResult& r : rows) {
     PrintRow(table, r);
   }

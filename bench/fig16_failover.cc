@@ -47,7 +47,7 @@
 
 #include "bench/bench_util.h"
 #include "src/cluster/fault_injector.h"
-#include "src/runtime/cluster.h"
+#include "src/runtime/sharded_cluster.h"
 #include "src/stats/table.h"
 #include "src/workload/cluster_mix.h"
 
@@ -168,7 +168,7 @@ VariantResult RunVariant(const BenchGeometry& geo, const std::string& name,
     config.trace.capacity = size_t{1} << 18;
   }
   config.sampler.enabled = !obs.timeseries_path.empty();
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
   FaultInjector::Arm(cluster, plan);
 
   std::vector<std::unique_ptr<AccessStream>> streams;
@@ -224,12 +224,12 @@ VariantResult RunVariant(const BenchGeometry& geo, const std::string& name,
       }
     }
   }
-  if (cluster.health_monitor() != nullptr && gray_inject_ns > 0) {
+  const HealthMonitor* health = cluster.health_monitor(kGrayNode);
+  if (health != nullptr && gray_inject_ns > 0) {
     // First gray mark AT OR AFTER injection: a transient false positive
     // earlier in the run must not read as instant detection.
     const SimTimeNs first_gray =
-        cluster.health_monitor()->FirstGrayAtOrAfterNs(kGrayNode,
-                                                       gray_inject_ns);
+        health->FirstGrayAtOrAfterNs(kGrayNode, gray_inject_ns);
     if (first_gray >= gray_inject_ns && first_gray > 0) {
       out.detection_delay_ns = first_gray - gray_inject_ns;
     }
@@ -241,11 +241,11 @@ VariantResult RunVariant(const BenchGeometry& geo, const std::string& name,
                 obs.trace_path.c_str(), cluster.trace()->size(),
                 static_cast<unsigned long long>(cluster.trace()->dropped()));
   }
-  if (!obs.timeseries_path.empty() && cluster.sampler() != nullptr) {
+  if (!obs.timeseries_path.empty()) {
     std::ofstream ts(obs.timeseries_path);
-    cluster.sampler()->WriteJsonl(ts);
+    WriteJsonl(cluster.samples(), ts);
     std::printf("wrote %s (%zu samples)\n", obs.timeseries_path.c_str(),
-                cluster.sampler()->samples().size());
+                cluster.samples().size());
   }
   if (obs.dump) {
     cluster.DumpStats(std::cout);

@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/runtime/cluster.h"
+#include "src/runtime/sharded_cluster.h"
 #include "src/stats/table.h"
 
 namespace leap {
@@ -131,7 +131,7 @@ TierResult RunOnce(const BenchGeometry& geo, const TierVariant& variant,
   config.seed = 91;
   config.trace.enabled = !trace_path.empty();
   config.sampler.enabled = !timeseries_path.empty();
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
 
   // Two faulting processes per host: a single zero-think stream carries at
   // most one outstanding fault, which can never congest the donor's
@@ -209,11 +209,11 @@ TierResult RunOnce(const BenchGeometry& geo, const TierVariant& variant,
     std::printf("wrote %s (%zu events)\n", trace_path.c_str(),
                 cluster.trace()->size());
   }
-  if (!timeseries_path.empty() && cluster.sampler() != nullptr) {
+  if (!timeseries_path.empty()) {
     std::ofstream ts(timeseries_path);
-    cluster.sampler()->WriteJsonl(ts);
+    WriteJsonl(cluster.samples(), ts);
     std::printf("wrote %s (%zu samples)\n", timeseries_path.c_str(),
-                cluster.sampler()->samples().size());
+                cluster.samples().size());
   }
   if (dump != nullptr) {
     cluster.DumpStats(*dump);

@@ -1,9 +1,10 @@
 #include "src/cluster/fault_injector.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "src/runtime/cluster.h"
+#include "src/runtime/sharded_cluster.h"
 
 namespace leap {
 
@@ -28,6 +29,11 @@ FaultPlan& FaultPlan::Recover(uint32_t node, SimTimeNs at) {
 FaultPlan& FaultPlan::CrashGroup(std::vector<uint32_t> group, SimTimeNs at) {
   if (group.empty()) {
     throw std::invalid_argument("FaultPlan::CrashGroup: empty group");
+  }
+  std::vector<uint32_t> sorted = group;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    throw std::invalid_argument("FaultPlan::CrashGroup: duplicate node");
   }
   FaultEvent ev;
   ev.kind = FaultKind::kCrashGroup;
@@ -133,7 +139,7 @@ void FaultPlan::Validate(size_t node_count) const {
   }
 }
 
-void FaultInjector::Arm(Cluster& cluster, const FaultPlan& plan) {
+void FaultInjector::Arm(ShardedCluster& cluster, const FaultPlan& plan) {
   plan.Validate(cluster.num_nodes());
   for (const FaultEvent& ev : plan.events()) {
     switch (ev.kind) {

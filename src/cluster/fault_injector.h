@@ -1,6 +1,6 @@
 // Scriptable fault injection: a FaultPlan is a declarative timeline of
-// failures; FaultInjector::Arm schedules it onto a cluster's shared
-// EventQueue so faults interleave deterministically with foreground work.
+// failures; FaultInjector::Arm schedules it onto the cluster's event
+// queues so faults interleave deterministically with foreground work.
 //
 // Before this existed, every failure scenario was hand-scheduled at its
 // call site (a ScheduleNodeFailure here, a ScheduleNodeRecovery there),
@@ -47,7 +47,7 @@
 
 namespace leap {
 
-class Cluster;
+class ShardedCluster;
 
 enum class FaultKind : uint8_t {
   kCrash,       // fail-stop one node (triggers slab repair)
@@ -84,7 +84,7 @@ class FaultPlan {
   // Recover `node` at `at`.
   FaultPlan& Recover(uint32_t node, SimTimeNs at);
   // Correlated failure: every node of `group` fails at `at` (all drop
-  // before any repair runs).
+  // before any repair runs). Rejects an empty group or a duplicate id.
   FaultPlan& CrashGroup(std::vector<uint32_t> group, SimTimeNs at);
   // Gray node: downlink serializes `stretch`x slower during [at, until);
   // until = 0 leaves it gray for the rest of the run.
@@ -117,12 +117,12 @@ class FaultPlan {
   std::vector<FaultEvent> events_;
 };
 
-// Schedules every event of `plan` onto `cluster`'s shared EventQueue via
-// the cluster's scenario hooks. Call before Cluster::Run; arming an empty
-// plan is a no-op.
+// Schedules every event of `plan` onto `cluster` via its scenario hooks
+// (each fault fires on its target node's home-shard queue). Call before
+// ShardedCluster::Run; arming an empty plan is a no-op.
 class FaultInjector {
  public:
-  static void Arm(Cluster& cluster, const FaultPlan& plan);
+  static void Arm(ShardedCluster& cluster, const FaultPlan& plan);
 };
 
 }  // namespace leap

@@ -5,29 +5,9 @@
 
 namespace leap {
 
-StatsSampler::StatsSampler(const StatsSamplerConfig& config,
-                           EventQueue* events, Collector collector)
-    : config_(config), events_(events), collector_(std::move(collector)) {}
-
-void StatsSampler::Start(SimTimeNs at) {
-  if (!config_.enabled || events_ == nullptr || !collector_) {
-    return;
-  }
-  events_->ScheduleAt(at, [this](SimTimeNs when) { Tick(when); });
-}
-
-void StatsSampler::Tick(SimTimeNs now) {
-  StatsSample sample;
-  sample.ts = now;
-  collector_(now, sample);
-  samples_.push_back(std::move(sample));
-  events_->ScheduleAt(now + config_.period_ns,
-                      [this](SimTimeNs when) { Tick(when); });
-}
-
-void StatsSampler::WriteJsonl(std::ostream& out) const {
+void WriteJsonl(const std::vector<StatsSample>& samples, std::ostream& out) {
   char buf[256];
-  for (const StatsSample& s : samples_) {
+  for (const StatsSample& s : samples) {
     std::snprintf(buf, sizeof(buf),
                   "{\"ts_ns\": %" PRIu64 ", \"window_demand_ops\": %" PRIu64
                   ", \"window_demand_p50_ns\": %" PRIu64

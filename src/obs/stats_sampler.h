@@ -1,28 +1,21 @@
-// Periodic time-series sampler: a self-rescheduling tick on the shared
-// EventQueue (the same pattern kswapd uses) that snapshots whatever the
-// owner's collector callback fills in - per-tenant prefetch budgets,
-// per-class queue-delay EWMAs, health-monitor node states, frame-pool
-// occupancy, and a windowed demand-latency percentile - into an in-memory
-// series dumped as JSONL at end of run.
+// Periodic time-series samples of a cluster run: per-tenant prefetch
+// budgets, per-class queue-delay EWMAs, health-monitor node states,
+// frame-pool and tier occupancy, and a windowed demand-latency percentile,
+// dumped as JSONL at end of run.
 //
-// Gating contract: the sampler only exists when enabled (the Cluster holds
-// a null pointer otherwise), it never mutates simulation state (the
-// collector must be read-only), and it draws no randomness - so enabling
-// it changes no simulation result, and two same-seed runs produce
+// The cluster engine (src/runtime/sharded_cluster.h) fills one StatsSample
+// per sampler period at its window barrier, where every shard is quiesced.
+// Gating contract: nothing is collected unless enabled, collection never
+// mutates simulation state, and it draws no randomness - so enabling it
+// changes no simulation result, and two same-seed runs produce
 // byte-identical sample series (pinned by obs_trace_test).
-//
-// The sampler lives in src/obs below src/runtime, so it cannot see
-// Machine or Cluster types: the owner injects a collector closure instead
-// of the sampler reaching up the stack.
 #ifndef LEAP_SRC_OBS_STATS_SAMPLER_H_
 #define LEAP_SRC_OBS_STATS_SAMPLER_H_
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <vector>
 
-#include "src/sim/event_queue.h"
 #include "src/sim/types.h"
 
 namespace leap {
@@ -30,11 +23,11 @@ namespace leap {
 struct StatsSamplerConfig {
   bool enabled = false;
   // Sampling cadence. 200 us resolves a ~1 ms gray-detection window into
-  // ~5 points without swamping a smoke run's event count.
+  // ~5 points without swamping a smoke run's output.
   SimTimeNs period_ns = 200 * kNsPerUs;
 };
 
-// One sample row. Plain data; the collector fills it, WriteJsonl prints
+// One sample row. Plain data; the engine fills it, WriteJsonl prints
 // it. Vectors are indexed by host / node id respectively.
 struct StatsSample {
   SimTimeNs ts = 0;
@@ -73,34 +66,8 @@ struct StatsSample {
   std::vector<TenantBudget> tenant_budgets;
 };
 
-class StatsSampler {
- public:
-  // The collector fills one StatsSample at each tick. It must be
-  // read-only with respect to simulation state and must not allocate
-  // into the sampler (the sample row is fresh each tick).
-  using Collector = std::function<void(SimTimeNs now, StatsSample& sample)>;
-
-  StatsSampler(const StatsSamplerConfig& config, EventQueue* events,
-               Collector collector);
-
-  // Arms the first tick at `at`; subsequent ticks self-reschedule every
-  // period until the event queue stops being drained.
-  void Start(SimTimeNs at);
-
-  const StatsSamplerConfig& config() const { return config_; }
-  const std::vector<StatsSample>& samples() const { return samples_; }
-
-  // One JSON object per line (JSONL), oldest first.
-  void WriteJsonl(std::ostream& out) const;
-
- private:
-  void Tick(SimTimeNs now);
-
-  StatsSamplerConfig config_;
-  EventQueue* events_ = nullptr;
-  Collector collector_;
-  std::vector<StatsSample> samples_;
-};
+// One JSON object per sample per line (JSONL), oldest first.
+void WriteJsonl(const std::vector<StatsSample>& samples, std::ostream& out);
 
 }  // namespace leap
 

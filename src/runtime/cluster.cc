@@ -1,44 +1,8 @@
 #include "src/runtime/cluster.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <ostream>
-#include <stdexcept>
-#include <utility>
-
-#include "src/stats/table.h"
 
 namespace leap {
-
-namespace {
-
-// Formatting helpers for DumpStats (cold path; std::string churn is fine).
-std::string FmtU64(uint64_t v) { return std::to_string(v); }
-
-std::string FmtNs(double ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", ns);
-  return buf;
-}
-
-// Fault-injection instants on the recorder's node tracks. `payload` rides
-// in TraceEvent::slot (stretch x1000 for gray, extra ns for spikes) so the
-// injected magnitude is visible in the trace viewer's args pane.
-void RecordFault(TraceRecorder* trace, TraceEventKind kind, SimTimeNs ts,
-                 uint32_t node, uint64_t payload = 0) {
-  if (trace == nullptr) {
-    return;
-  }
-  TraceEvent e;
-  e.kind = kind;
-  e.ts = ts;
-  e.node = node;
-  e.slot = payload;
-  trace->Record(e);
-}
-
-}  // namespace
 
 size_t ClusterStats::SlabImbalance() const {
   if (node_slabs.empty()) {
@@ -63,441 +27,6 @@ uint64_t ClusterStats::ClassBytes(IoClass cls) const {
     total += link.bytes[static_cast<size_t>(cls)];
   }
   return total;
-}
-
-Cluster::Cluster(const ClusterConfig& config)
-    : config_(config),
-      fabric_(std::make_unique<Fabric>(config.fabric,
-                                       std::max<size_t>(1, config.hosts),
-                                       std::max<size_t>(1, config.nodes))),
-      placer_(MakeSlabPlacer(config.placement)),
-      host_seeder_(config.seed) {
-  // Reject nonsense resilience knobs before any host exists (no-op when
-  // resilience is disabled; SetResilience re-validates per host anyway,
-  // but failing here puts the throw at the config site).
-  config_.resilience.Validate();
-  for (size_t n = 0; n < std::max<size_t>(1, config_.nodes); ++n) {
-    nodes_.push_back(std::make_unique<RemoteAgent>(
-        static_cast<uint32_t>(n), config_.node_capacity_slabs));
-  }
-  if (config_.resilience.enabled || config_.health_monitor_enabled) {
-    health_monitor_ =
-        std::make_unique<HealthMonitor>(config_.health, nodes_.size());
-    health_monitor_->SetCounters(&counters_);
-  }
-  // Observability wiring must precede AddHost: each MachineEnv carries the
-  // recorder pointer at construction. Disabled means no recorder exists at
-  // all - the null pointer IS the off switch everywhere downstream.
-  if (config_.trace.enabled) {
-    trace_ = std::make_unique<TraceRecorder>(config_.trace);
-    fabric_->SetTrace(trace_.get());
-    if (health_monitor_ != nullptr) {
-      health_monitor_->SetTrace(trace_.get());
-    }
-  }
-  if (config_.sampler.enabled) {
-    sampler_ = std::make_unique<StatsSampler>(
-        config_.sampler, &events_,
-        [this](SimTimeNs now, StatsSample& sample) {
-          CollectSample(now, sample);
-        });
-    sampler_->Start(config_.sampler.period_ns);
-  }
-  for (size_t h = 0; h < config_.hosts; ++h) {
-    AddHost();
-  }
-}
-
-size_t Cluster::AddHost() {
-  const size_t id = hosts_.size();
-  while (fabric_->num_hosts() <= id) {
-    fabric_->AddHost();
-  }
-  MachineConfig host_config = config_.host;
-  host_config.medium = Medium::kRemote;
-  host_config.seed = host_seeder_.NextU64();
-
-  MachineEnv env;
-  env.shared_events = &events_;
-  env.fabric = fabric_.get();
-  env.placer = placer_.get();
-  env.host_id = static_cast<uint32_t>(id);
-  env.trace = trace_.get();
-  env.remote_pool.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    env.remote_pool.push_back(node.get());
-  }
-
-  hosts_.push_back(std::make_unique<Machine>(host_config, env));
-  HostAgent* agent = hosts_.back()->host_agent();
-  if (health_monitor_ != nullptr) {
-    agent->SetHealthTracker(health_monitor_.get());
-  }
-  if (config_.resilience.enabled) {
-    agent->SetResilience(config_.resilience);
-  }
-  alive_.push_back(true);
-  host_remote_hist_.emplace_back();
-  counters_.Add(counter::kHostJoins);
-  return id;
-}
-
-void Cluster::RemoveHost(size_t host) {
-  if (host >= hosts_.size() || !alive_[host]) {
-    return;
-  }
-  alive_[host] = false;
-  // Abrupt departure: the host's slabs return to the pool (its remote data
-  // is gone, like a lease expiring in Infiniswap).
-  hosts_[host]->host_agent()->ReleaseAllSlabs();
-  counters_.Add(counter::kHostLeaves);
-}
-
-void Cluster::ScheduleNodeFailure(uint32_t node, SimTimeNs at) {
-  // Fail fast at schedule time; an unchecked id would blow up later, deep
-  // inside some host's event drain.
-  if (node >= nodes_.size()) {
-    throw std::out_of_range("leap::Cluster: unknown node");
-  }
-  events_.ScheduleAt(at, [this, node](SimTimeNs when) {
-    nodes_[node]->Fail();
-    counters_.Add(counter::kNodeFailures);
-    RecordFault(trace_.get(), TraceEventKind::kNodeFail, when, node);
-    // Every live host re-maps the slabs that lost a replica and
-    // re-replicates from survivors; the repair traffic rides the fabric at
-    // `when`, congesting it like a real rebuild storm.
-    for (size_t h = 0; h < hosts_.size(); ++h) {
-      if (alive_[h]) {
-        hosts_[h]->host_agent()->RepairSlabsAfterFailure(node, when);
-      }
-    }
-  });
-}
-
-void Cluster::ScheduleNodeRecovery(uint32_t node, SimTimeNs at) {
-  if (node >= nodes_.size()) {
-    throw std::out_of_range("leap::Cluster: unknown node");
-  }
-  events_.ScheduleAt(at, [this, node](SimTimeNs when) {
-    nodes_[node]->Recover();
-    counters_.Add(counter::kNodeRecoveries);
-    RecordFault(trace_.get(), TraceEventKind::kNodeRecover, when, node);
-  });
-}
-
-void Cluster::ScheduleCorrelatedFailure(std::vector<uint32_t> group,
-                                        SimTimeNs at) {
-  for (const uint32_t node : group) {
-    if (node >= nodes_.size()) {
-      throw std::out_of_range("leap::Cluster: unknown node");
-    }
-  }
-  events_.ScheduleAt(at, [this, group = std::move(group)](SimTimeNs when) {
-    // The whole domain drops at once BEFORE any repair runs: repair of a
-    // slab replicated entirely inside the domain must see every copy gone
-    // (sequential single-node failures would let the first repair re-copy
-    // from a node that is about to die).
-    for (const uint32_t node : group) {
-      nodes_[node]->Fail();
-      counters_.Add(counter::kNodeFailures);
-      RecordFault(trace_.get(), TraceEventKind::kNodeFail, when, node);
-    }
-    for (const uint32_t node : group) {
-      for (size_t h = 0; h < hosts_.size(); ++h) {
-        if (alive_[h]) {
-          hosts_[h]->host_agent()->RepairSlabsAfterFailure(node, when);
-        }
-      }
-    }
-  });
-}
-
-void Cluster::ScheduleNodeGray(uint32_t node, double stretch, SimTimeNs at,
-                               SimTimeNs until) {
-  if (node >= nodes_.size()) {
-    throw std::out_of_range("leap::Cluster: unknown node");
-  }
-  if (stretch <= 0.0) {
-    throw std::invalid_argument("leap::Cluster: gray stretch must be > 0");
-  }
-  events_.ScheduleAt(at, [this, node, stretch](SimTimeNs when) {
-    fabric_->SetNodeSlowdown(node, stretch);
-    if (stretch != 1.0) {  // restoring full speed is not a fault event
-      counters_.Add(counter::kGrayFaultEvents);
-      RecordFault(trace_.get(), TraceEventKind::kGraySet, when, node,
-                  static_cast<uint64_t>(stretch * 1000.0));
-    } else {
-      RecordFault(trace_.get(), TraceEventKind::kGrayClear, when, node);
-    }
-  });
-  if (until > at) {
-    events_.ScheduleAt(until, [this, node](SimTimeNs when) {
-      fabric_->SetNodeSlowdown(node, 1.0);
-      RecordFault(trace_.get(), TraceEventKind::kGrayClear, when, node);
-    });
-  }
-}
-
-void Cluster::ScheduleNodeDelaySpike(uint32_t node, SimTimeNs extra_ns,
-                                     SimTimeNs at, SimTimeNs until) {
-  if (node >= nodes_.size()) {
-    throw std::out_of_range("leap::Cluster: unknown node");
-  }
-  events_.ScheduleAt(at, [this, node, extra_ns](SimTimeNs when) {
-    fabric_->SetNodeExtraDelayNs(node, extra_ns);
-    counters_.Add(counter::kDelaySpikeEvents);
-    RecordFault(trace_.get(), TraceEventKind::kDelaySpike, when, node,
-                extra_ns);
-  });
-  if (until > at) {
-    events_.ScheduleAt(until, [this, node](SimTimeNs when) {
-      fabric_->SetNodeExtraDelayNs(node, 0);
-      RecordFault(trace_.get(), TraceEventKind::kDelaySpike, when, node, 0);
-    });
-  }
-}
-
-void Cluster::ScheduleHostLeave(size_t host, SimTimeNs at) {
-  if (host >= hosts_.size()) {
-    throw std::out_of_range("leap::Cluster: unknown host");
-  }
-  events_.ScheduleAt(at,
-                     [this, host](SimTimeNs /*when*/) { RemoveHost(host); });
-}
-
-std::vector<RunResult> Cluster::Run(std::vector<ClusterAppSpec> specs) {
-  // Lower onto the shared global-time-ordered loop (app_runner), adding
-  // only what is cluster-specific: stopping apps whose host left, and the
-  // per-host remote-latency histograms.
-  std::vector<BoundAppSpec> bound;
-  bound.reserve(specs.size());
-  for (const ClusterAppSpec& spec : specs) {
-    bound.push_back({hosts_[spec.host].get(), spec.pid, spec.stream,
-                     spec.config});
-  }
-  RunHooks hooks;
-  hooks.keep_running = [this, &specs](size_t i) {
-    return alive_[specs[i].host];
-  };
-  hooks.on_remote_access = [this, &specs](size_t i, const AccessResult& access,
-                                          SimTimeNs /*now*/) {
-    host_remote_hist_[specs[i].host].Record(access.latency);
-    // Windowed demand-miss latency for the sampler's p50/p99 time series
-    // (reset every tick). Guarded so a sampler-free run pays nothing.
-    if (sampler_ != nullptr && access.type == AccessType::kMiss) {
-      demand_window_hist_.Record(access.latency);
-    }
-  };
-  return RunBoundApps(std::move(bound), hooks);
-}
-
-ClusterStats Cluster::Stats() const {
-  ClusterStats stats;
-  stats.totals = counters_;
-  for (const auto& host : hosts_) {
-    stats.totals.Merge(host->counters());
-  }
-  stats.node_slabs.reserve(nodes_.size());
-  stats.node_reads.reserve(nodes_.size());
-  stats.node_writes.reserve(nodes_.size());
-  for (const auto& node : nodes_) {
-    stats.node_slabs.push_back(node->mapped_slabs());
-    stats.node_reads.push_back(node->reads_served());
-    stats.node_writes.push_back(node->writes_served());
-  }
-  stats.fabric_ops = fabric_->ops();
-  stats.fabric_bytes = fabric_->bytes();
-  stats.host_uplink_classes.reserve(fabric_->num_hosts());
-  for (size_t h = 0; h < fabric_->num_hosts(); ++h) {
-    stats.host_uplink_classes.push_back(
-        fabric_->host_classes(static_cast<uint32_t>(h)));
-  }
-  stats.node_downlink_classes.reserve(fabric_->num_nodes());
-  for (size_t n = 0; n < fabric_->num_nodes(); ++n) {
-    stats.node_downlink_classes.push_back(
-        fabric_->node_classes(static_cast<uint32_t>(n)));
-  }
-  for (size_t c = 0; c < kIoClassCount; ++c) {
-    stats.class_queue_delay_ewma_ns[c] =
-        fabric_->QueueDelayEwmaNs(static_cast<IoClass>(c));
-    stats.class_queue_delay_mean_ns[c] =
-        fabric_->MeanQueueDelayNs(static_cast<IoClass>(c));
-    stats.class_sojourn_mean_ns[c] =
-        fabric_->MeanSojournNs(static_cast<IoClass>(c));
-  }
-  if (health_monitor_ != nullptr) {
-    stats.node_health_ewma_ns.reserve(nodes_.size());
-    stats.node_health_state.reserve(nodes_.size());
-    for (size_t n = 0; n < nodes_.size(); ++n) {
-      const auto id = static_cast<uint32_t>(n);
-      stats.node_health_ewma_ns.push_back(health_monitor_->NodeEwmaNs(id));
-      stats.node_health_state.push_back(health_monitor_->State(id));
-    }
-  }
-  stats.stages = fabric_->Stages();
-  for (const auto& host : hosts_) {
-    const TieredStore* tiered = host->tiered_store();
-    if (tiered == nullptr) {
-      continue;
-    }
-    if (stats.tier_pages.empty()) {
-      stats.tier_pages.resize(kTierCount, 0);
-    }
-    for (size_t t = 0; t < kTierCount; ++t) {
-      stats.tier_pages[t] += tiered->TierPages(t);
-    }
-  }
-  return stats;
-}
-
-void Cluster::CollectSample(SimTimeNs now, StatsSample& sample) {
-  (void)now;
-  sample.window_demand_ops = demand_window_hist_.count();
-  sample.window_demand_p50_ns = demand_window_hist_.Percentile(0.50);
-  sample.window_demand_p99_ns = demand_window_hist_.Percentile(0.99);
-  demand_window_hist_.Reset();
-  sample.demand_queue_delay_ewma_ns =
-      fabric_->QueueDelayEwmaNs(IoClass::kDemandRead);
-  sample.prefetch_queue_delay_ewma_ns =
-      fabric_->QueueDelayEwmaNs(IoClass::kPrefetch);
-  if (health_monitor_ != nullptr) {
-    sample.node_state.reserve(nodes_.size());
-    sample.node_ewma_ns.reserve(nodes_.size());
-    for (size_t n = 0; n < nodes_.size(); ++n) {
-      const auto id = static_cast<uint32_t>(n);
-      sample.node_state.push_back(
-          static_cast<uint8_t>(health_monitor_->State(id)));
-      sample.node_ewma_ns.push_back(health_monitor_->NodeEwmaNs(id));
-    }
-  }
-  sample.host_free_frames.reserve(hosts_.size());
-  sample.host_cache_pages.reserve(hosts_.size());
-  std::vector<std::pair<Pid, double>> budgets;
-  for (size_t h = 0; h < hosts_.size(); ++h) {
-    sample.host_free_frames.push_back(hosts_[h]->free_frames());
-    sample.host_cache_pages.push_back(hosts_[h]->cache_size());
-    // Tier occupancy + cumulative migration volume (observation-only; the
-    // fields stay empty/zero - and unserialized - on untiered runs).
-    if (const TieredStore* tiered = hosts_[h]->tiered_store()) {
-      if (sample.tier_pages.empty()) {
-        sample.tier_pages.resize(kTierCount, 0);
-      }
-      for (size_t t = 0; t < kTierCount; ++t) {
-        sample.tier_pages[t] += tiered->TierPages(t);
-      }
-      sample.tier_promotions +=
-          hosts_[h]->counters().Get(counter::kTierPromotions);
-      sample.tier_demotions +=
-          hosts_[h]->counters().Get(counter::kTierDemotions);
-    }
-    const BudgetGovernor* governor = hosts_[h]->governor();
-    if (governor != nullptr) {
-      budgets.clear();
-      // SnapshotBudgets (not BudgetFor): reading must not advance the
-      // governor's AIMD epoch, or sampling would perturb the run.
-      governor->SnapshotBudgets(budgets);
-      for (const auto& [pid, budget] : budgets) {
-        sample.tenant_budgets.push_back(
-            {static_cast<uint32_t>(h), pid, budget});
-      }
-    }
-  }
-}
-
-void Cluster::DumpStats(std::ostream& out) const {
-  const ClusterStats stats = Stats();
-  out << "cluster: " << hosts_.size() << " hosts, " << nodes_.size()
-      << " nodes, seed " << config_.seed << "\n";
-
-  out << "\n-- counters (nonzero totals) --\n";
-  TextTable counters;
-  counters.SetHeader({"counter", "value"});
-  for (const auto& [name, value] : stats.totals.values()) {
-    counters.AddRow({name, FmtU64(value)});
-  }
-  out << counters.Render();
-
-  out << "\n-- nodes --\n";
-  TextTable node_table;
-  node_table.SetHeader(
-      {"node", "slabs", "reads", "writes", "health", "ewma_ns"});
-  for (size_t n = 0; n < stats.node_slabs.size(); ++n) {
-    const bool health = n < stats.node_health_state.size();
-    node_table.AddRow(
-        {FmtU64(n), FmtU64(stats.node_slabs[n]), FmtU64(stats.node_reads[n]),
-         FmtU64(stats.node_writes[n]),
-         health ? NodeHealthName(stats.node_health_state[n]) : "-",
-         health ? FmtNs(stats.node_health_ewma_ns[n]) : "-"});
-  }
-  out << node_table.Render();
-
-  out << "\n-- node downlinks: ops by class --\n";
-  TextTable link_table;
-  {
-    std::vector<std::string> header{"node"};
-    for (size_t c = 0; c < kIoClassCount; ++c) {
-      header.push_back(IoClassName(static_cast<IoClass>(c)));
-    }
-    header.push_back("bytes");
-    link_table.SetHeader(std::move(header));
-  }
-  for (size_t n = 0; n < stats.node_downlink_classes.size(); ++n) {
-    const LinkClassCounts& link = stats.node_downlink_classes[n];
-    std::vector<std::string> row{FmtU64(n)};
-    uint64_t bytes = 0;
-    for (size_t c = 0; c < kIoClassCount; ++c) {
-      row.push_back(FmtU64(link.ops[c]));
-      bytes += link.bytes[c];
-    }
-    row.push_back(FmtU64(bytes));
-    link_table.AddRow(std::move(row));
-  }
-  out << link_table.Render();
-
-  out << "\n-- stage breakdown: mean ns/op by class "
-         "(software|queue|wire|stall|service) --\n";
-  TextTable stage_table;
-  stage_table.SetHeader({"class", "ops", "software", "queue", "wire", "stall",
-                         "service", "total"});
-  for (size_t c = 0; c < kIoClassCount; ++c) {
-    const StageBreakdown::Stage& s = stats.stages.cls[c];
-    if (s.ops == 0) {
-      continue;
-    }
-    stage_table.AddRow({IoClassName(static_cast<IoClass>(c)), FmtU64(s.ops),
-                        FmtNs(s.MeanNs(s.software_ns)),
-                        FmtNs(s.MeanNs(s.queue_ns)), FmtNs(s.MeanNs(s.wire_ns)),
-                        FmtNs(s.MeanNs(s.stall_ns)),
-                        FmtNs(s.MeanNs(s.service_ns)),
-                        FmtNs(s.MeanNs(s.TotalNs()))});
-  }
-  out << stage_table.Render();
-
-  out << "\n-- demand read p99, per stage (ns) --\n";
-  TextTable p99_table;
-  p99_table.SetHeader(
-      {"software", "queue", "wire", "stall", "service", "end_to_end"});
-  p99_table.AddRow({FmtU64(stats.stages.demand_p99_software_ns),
-                    FmtU64(stats.stages.demand_p99_queue_ns),
-                    FmtU64(stats.stages.demand_p99_wire_ns),
-                    FmtU64(stats.stages.demand_p99_stall_ns),
-                    FmtU64(stats.stages.demand_p99_service_ns),
-                    FmtU64(stats.stages.demand_p99_total_ns)});
-  out << p99_table.Render();
-
-  if (!stats.tier_pages.empty()) {
-    out << "\n-- tier occupancy (pages, all hosts) --\n";
-    TextTable tier_table;
-    tier_table.SetHeader({"tier", "pages"});
-    for (size_t t = 0; t < stats.tier_pages.size(); ++t) {
-      tier_table.AddRow({TierName(t), FmtU64(stats.tier_pages[t])});
-    }
-    out << tier_table.Render();
-  }
-  if (trace_ != nullptr) {
-    out << "\ntrace: " << trace_->size() << " events buffered, "
-        << trace_->dropped() << " dropped\n";
-  }
 }
 
 }  // namespace leap

@@ -1,19 +1,16 @@
-// Multi-host memory-disaggregation cluster: N host machines and M memory
-// nodes on one shared clock, connected by a congestion-aware fabric.
+// Multi-host memory-disaggregation cluster: the configuration, workload
+// binding and accounting types shared by the cluster engine
+// (src/runtime/sharded_cluster.h) and every bench and test that drives it.
 //
-// This is the composition point the single-host Machine could not express:
-// Figure 13 scaled out. Hosts contend for node downlinks (remote latency
-// rises with cluster load), a pluggable SlabPlacer spreads slabs across the
-// donor pool, and scenario hooks inject node failure/recovery (with slab
-// repair and re-replication) and host join/leave mid-run - all on the
-// shared EventQueue, so every scenario interleaves deterministically with
-// foreground faults and same-seed cluster runs are bit-identical.
+// N host machines and M memory nodes connected by a congestion-aware
+// fabric: hosts contend for node downlinks (remote latency rises with
+// cluster load), a pluggable SlabPlacer spreads slabs across the donor
+// pool, and scenario hooks inject node failure/recovery (with slab repair
+// and re-replication) and host join/leave mid-run.
 #ifndef LEAP_SRC_RUNTIME_CLUSTER_H_
 #define LEAP_SRC_RUNTIME_CLUSTER_H_
 
 #include <array>
-#include <iosfwd>
-#include <memory>
 #include <vector>
 
 #include "src/cluster/fabric.h"
@@ -23,9 +20,7 @@
 #include "src/obs/trace_recorder.h"
 #include "src/runtime/app_runner.h"
 #include "src/runtime/machine.h"
-#include "src/sim/event_queue.h"
 #include "src/stats/counters.h"
-#include "src/stats/histogram.h"
 
 namespace leap {
 
@@ -39,7 +34,7 @@ struct ClusterConfig {
   FabricConfig fabric;
   PlacementPolicy placement = PlacementPolicy::kPowerOfTwo;
   uint64_t seed = 42;
-  // Gray-failure resilience (PR 6). `resilience` configures every host's
+  // Gray-failure resilience. `resilience` configures every host's
   // demand-read mitigation (deadline/retry, hedging, gray avoidance);
   // disabled by default, and a disabled config leaves the cluster
   // bit-identical to pre-PR-6 runs. The health monitor is created when
@@ -50,10 +45,11 @@ struct ClusterConfig {
   ResilienceConfig resilience;
   HealthMonitorConfig health;
   bool health_monitor_enabled = false;
-  // Observability (PR 7). Both default off, and off means OFF: no recorder
+  // Observability. Both default off, and off means OFF: no recorder
   // is allocated, every layer's trace pointer stays null (one predicted
-  // branch per would-be event), the sampler schedules nothing, and runs
-  // are bit-identical to a build without this subsystem.
+  // branch per would-be event), the sampler collects nothing, and runs
+  // are bit-identical to a build without this subsystem. Tracing needs
+  // a single shard (ShardedClusterConfig::shards = 1).
   TraceConfig trace;
   StatsSamplerConfig sampler;
 };
@@ -92,6 +88,8 @@ struct ClusterStats {
   // completion): queue delay says what the link added; this says what the
   // class's ops cost all-in.
   std::array<double, kIoClassCount> class_sojourn_mean_ns{};
+  // Whole-run mean queue delay over every op of every class.
+  double fabric_queue_delay_mean_ns = 0.0;
   // Health view per node (empty when no health monitor is attached):
   // read-latency EWMA and the monitor's verdict at snapshot time.
   std::vector<double> node_health_ewma_ns;
@@ -112,93 +110,6 @@ struct ClusterStats {
   // Convenience sums over one class across all downlinks.
   uint64_t ClassOps(IoClass cls) const;
   uint64_t ClassBytes(IoClass cls) const;
-};
-
-class Cluster {
- public:
-  explicit Cluster(const ClusterConfig& config);
-
-  size_t num_hosts() const { return hosts_.size(); }
-  size_t num_nodes() const { return nodes_.size(); }
-  Machine& host(size_t i) { return *hosts_[i]; }
-  RemoteAgent& node(size_t i) { return *nodes_[i]; }
-  Fabric& fabric() { return *fabric_; }
-  EventQueue& events() { return events_; }
-  Counters& scenario_counters() { return counters_; }
-
-  // --- membership ---------------------------------------------------------
-  // Host join: a new machine wired to the shared clock/pool/fabric.
-  size_t AddHost();
-  // Host leave: returns its slabs to the pool and stops its workloads.
-  void RemoveHost(size_t host);
-  bool HostAlive(size_t host) const { return alive_[host]; }
-
-  // --- failure scenarios (run on the shared clock) ------------------------
-  // At `at`: the node fails, and every live host re-maps and re-replicates
-  // the slabs that lost a replica (repair traffic rides the fabric).
-  void ScheduleNodeFailure(uint32_t node, SimTimeNs at);
-  void ScheduleNodeRecovery(uint32_t node, SimTimeNs at);
-  void ScheduleHostLeave(size_t host, SimTimeNs at);
-  // Correlated failure: every node of `group` (one rack / failure domain)
-  // fails at the same instant - all fail FIRST, then repair runs, so a
-  // slab whose whole replica set sat in the domain finds no survivor to
-  // rebuild from (the scenario replica placement must defend against).
-  void ScheduleCorrelatedFailure(std::vector<uint32_t> group, SimTimeNs at);
-  // Gray node: at `at` the node's downlink serializes `stretch`x slower;
-  // restored to full speed at `until` when until > at (0 = stays gray).
-  void ScheduleNodeGray(uint32_t node, double stretch, SimTimeNs at,
-                        SimTimeNs until = 0);
-  // Transient packet-delay spike: flat +extra_ns on every op to the node
-  // during [at, until) (until = 0 leaves it in force).
-  void ScheduleNodeDelaySpike(uint32_t node, SimTimeNs extra_ns, SimTimeNs at,
-                              SimTimeNs until = 0);
-  // Nullptr unless ClusterConfig enabled resilience or the monitor.
-  const HealthMonitor* health_monitor() const { return health_monitor_.get(); }
-  // Nullptr unless ClusterConfig::trace.enabled / sampler.enabled.
-  TraceRecorder* trace() { return trace_.get(); }
-  const TraceRecorder* trace() const { return trace_.get(); }
-  StatsSampler* sampler() { return sampler_.get(); }
-  const StatsSampler* sampler() const { return sampler_.get(); }
-
-  // Runs all workloads concurrently across the cluster: accesses interleave
-  // in global simulated-time order, contending for DRAM per host and for
-  // the shared fabric/node downlinks across hosts.
-  std::vector<RunResult> Run(std::vector<ClusterAppSpec> specs);
-
-  // Remote (non-resident) access latency per host, recorded by Run.
-  const Histogram& host_remote_latency(size_t host) const {
-    return host_remote_hist_[host];
-  }
-
-  ClusterStats Stats() const;
-
-  // One-call human-readable dump of Stats(): counter totals, per-node
-  // service/health tables, per-link per-class traffic, and the demand
-  // stage breakdown. The benches print this instead of five hand-rolled
-  // loops each.
-  void DumpStats(std::ostream& out) const;
-
- private:
-  // Sampler collector: snapshots governor budgets, fabric EWMAs, health
-  // states, per-host memory occupancy, and the windowed demand histogram
-  // (reset per tick). Strictly read-only against simulation state.
-  void CollectSample(SimTimeNs now, StatsSample& sample);
-
-  ClusterConfig config_;
-  EventQueue events_;
-  std::unique_ptr<Fabric> fabric_;
-  std::unique_ptr<SlabPlacer> placer_;
-  std::vector<std::unique_ptr<RemoteAgent>> nodes_;
-  std::vector<std::unique_ptr<Machine>> hosts_;
-  std::vector<bool> alive_;
-  std::vector<Histogram> host_remote_hist_;
-  std::unique_ptr<HealthMonitor> health_monitor_;  // shared by all hosts
-  std::unique_ptr<TraceRecorder> trace_;   // null = tracing off
-  std::unique_ptr<StatsSampler> sampler_;  // null = sampling off
-  // Demand-miss latency within the current sampler window (reset on tick).
-  Histogram demand_window_hist_;
-  Counters counters_;  // cluster-level scenario events
-  Rng host_seeder_;
 };
 
 }  // namespace leap

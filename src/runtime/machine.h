@@ -121,9 +121,10 @@ struct MachineConfig {
 
 class SlabPlacer;
 
-// Cluster wiring injected by the runtime/Cluster driver. All fields are
-// optional: a default MachineEnv gives the classic self-contained machine
-// (own event queue, own remote nodes, private NIC link).
+// Cluster wiring injected by the cluster engine (ShardedCluster). All
+// fields are optional: a default MachineEnv gives the classic
+// self-contained machine (own event queue, own remote nodes, private NIC
+// link).
 struct MachineEnv {
   // Shared simulated clock: every machine in a cluster drains the same
   // queue, so background activity (kswapd ticks, failure events) from all

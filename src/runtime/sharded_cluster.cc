@@ -1,14 +1,14 @@
 #include "src/runtime/sharded_cluster.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
+#include "src/stats/table.h"
 
 namespace leap {
 
@@ -23,19 +23,29 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-void PinToCpu(size_t index) {
-#ifdef __linux__
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) {
+// Fault-injection instants on the recorder's node tracks. `payload` rides
+// in TraceEvent::slot (stretch x1000 for gray, extra ns for spikes) so the
+// injected magnitude is visible in the trace viewer's args pane.
+void RecordFault(TraceRecorder* trace, TraceEventKind kind, SimTimeNs ts,
+                 uint32_t node, uint64_t payload = 0) {
+  if (trace == nullptr) {
     return;
   }
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(index % hw, &set);
-  pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)index;
-#endif
+  TraceEvent e;
+  e.kind = kind;
+  e.ts = ts;
+  e.node = node;
+  e.slot = payload;
+  trace->Record(e);
+}
+
+// Formatting helpers for DumpStats (cold path; std::string churn is fine).
+std::string FmtU64(uint64_t v) { return std::to_string(v); }
+
+std::string FmtNs(double ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.1f", ns);
+  return buf;
 }
 
 }  // namespace
@@ -49,7 +59,6 @@ struct ShardedCluster::Shard {
   std::unique_ptr<Fabric> fabric;
   std::unique_ptr<SlabPlacer> placer;
   std::unique_ptr<HealthMonitor> health;  // null unless enabled
-  std::vector<uint32_t> hosts;            // global host ids (ascending)
   std::vector<uint32_t> nodes;            // global node ids (ascending)
   std::vector<uint32_t> foreign_nodes;    // mirror targets (other shards)
   Counters counters;  // scenario + cross-shard counters, merged in Stats
@@ -81,27 +90,24 @@ struct ShardedCluster::Shard {
 
 ShardedCluster::ShardedCluster(const ShardedClusterConfig& config)
     : config_(config), host_seeder_(config.base.seed) {
-  if (config_.base.trace.enabled) {
-    throw std::invalid_argument(
-        "leap::ShardedCluster: trace recording requires the single-queue "
-        "Cluster (the flight-recorder ring is not shard-safe)");
-  }
+  // Reject nonsense resilience knobs before any host exists (no-op when
+  // resilience is disabled).
   config_.base.resilience.Validate();
 
-  size_t shards = config_.shards;
-  if (shards == 0) {
-    const size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    shards = std::max<size_t>(1, std::min(config_.base.hosts, hw));
-  }
-  // Plan over the effective node count: like Cluster, a nodeless config
-  // still gets one synthetic donor node.
+  // Plan over the effective node count: a nodeless config still gets one
+  // synthetic donor node.
   plan_ = BuildShardPlan(config_.base.hosts,
-                         std::max<size_t>(1, config_.base.nodes), shards);
+                         std::max<size_t>(1, config_.base.nodes),
+                         config_.shards);
+  if (config_.base.trace.enabled && plan_.shards > 1) {
+    throw std::invalid_argument(
+        "leap::ShardedCluster: trace recording requires shards = 1 (the "
+        "flight-recorder ring is not shard-safe)");
+  }
   window_ns_ = config_.window_ns != 0 ? config_.window_ns
                                       : FabricLookaheadNs(config_.base.fabric);
 
-  // Global node table first, in id order - same construction sequence as
-  // Cluster, so shards=1 allocates and seeds everything identically.
+  // Global node table first, in id order.
   for (size_t n = 0; n < std::max<size_t>(1, config_.base.nodes); ++n) {
     nodes_.push_back(std::make_unique<RemoteAgent>(
         static_cast<uint32_t>(n), config_.base.node_capacity_slabs));
@@ -112,12 +118,22 @@ ShardedCluster::ShardedCluster(const ShardedClusterConfig& config)
     shards_.push_back(std::make_unique<Shard>());
     BuildShard(s);
   }
+  // Observability wiring must precede host construction: each MachineEnv
+  // carries the recorder pointer. Disabled means no recorder exists at
+  // all - the null pointer IS the off switch everywhere downstream.
+  if (config_.base.trace.enabled) {
+    Shard& only = *shards_[0];
+    trace_ = std::make_unique<TraceRecorder>(config_.base.trace);
+    only.fabric->SetTrace(trace_.get());
+    if (only.health != nullptr) {
+      only.health->SetTrace(trace_.get());
+    }
+  }
 
   // Hosts in GLOBAL id order: each host draws its seed from host_seeder_
-  // in the same sequence as Cluster::AddHost, regardless of which shard it
-  // lands on.
+  // in id sequence, regardless of which shard it lands on.
   for (size_t h = 0; h < config_.base.hosts; ++h) {
-    AddHost(*shards_[plan_.host_shard[h]]);
+    AddHostTo(*shards_[plan_.host_shard[h]]);
   }
 }
 
@@ -126,7 +142,6 @@ ShardedCluster::~ShardedCluster() = default;
 void ShardedCluster::BuildShard(size_t s) {
   Shard& shard = *shards_[s];
   shard.id = static_cast<uint32_t>(s);
-  shard.hosts = plan_.shard_hosts[s];
   shard.nodes = plan_.shard_nodes[s];
   for (size_t n = 0; n < nodes_.size(); ++n) {
     if (plan_.node_shard[n] != static_cast<uint32_t>(s)) {
@@ -146,10 +161,9 @@ void ShardedCluster::BuildShard(size_t s) {
     shard.health->SetCounters(&shard.counters);
   }
   // Stream tag keeps this disjoint from host seeding (host_seeder_ draws
-  // exactly one value per host, same as Cluster) and distinct per shard.
+  // exactly one value per host) and distinct per shard.
   shard.mailbox_rng = Rng(
       Mix64(config_.base.seed ^ (0x6D61696C626F78ULL + shard.id)));
-  shard.host_tick.assign(config_.base.hosts, 0);
   shard.out.reserve(plan_.shards);
   for (size_t r = 0; r < plan_.shards; ++r) {
     shard.out.push_back(
@@ -157,7 +171,24 @@ void ShardedCluster::BuildShard(size_t s) {
   }
 }
 
-size_t ShardedCluster::AddHost(Shard& shard) {
+size_t ShardedCluster::AddHost() {
+  if (ran_) {
+    throw std::logic_error("leap::ShardedCluster: AddHost after Run");
+  }
+  // A joining host extends the last shard's contiguous block.
+  const auto s = static_cast<uint32_t>(plan_.shards - 1);
+  const size_t id = hosts_.size();
+  plan_.host_shard.push_back(s);
+  plan_.shard_hosts[s].push_back(static_cast<uint32_t>(id));
+  for (const auto& shard : shards_) {
+    while (shard->fabric->num_hosts() <= id) {
+      shard->fabric->AddHost();
+    }
+  }
+  return AddHostTo(*shards_[s]);
+}
+
+size_t ShardedCluster::AddHostTo(Shard& shard) {
   const size_t id = hosts_.size();
   MachineConfig host_config = config_.base.host;
   host_config.medium = Medium::kRemote;
@@ -168,6 +199,7 @@ size_t ShardedCluster::AddHost(Shard& shard) {
   env.fabric = shard.fabric.get();
   env.placer = shard.placer.get();
   env.host_id = static_cast<uint32_t>(id);
+  env.trace = trace_.get();
   env.remote_pool.reserve(shard.nodes.size());
   for (const uint32_t n : shard.nodes) {
     env.remote_pool.push_back(nodes_[n].get());
@@ -192,28 +224,67 @@ void ShardedCluster::RemoveHost(size_t host) {
     return;
   }
   alive_[host] = 0;
+  // Abrupt departure: the host's slabs return to the pool (its remote data
+  // is gone, like a lease expiring in Infiniswap).
   hosts_[host]->host_agent()->ReleaseAllSlabs();
   shards_[plan_.host_shard[host]]->counters.Add(counter::kHostLeaves);
 }
 
 void ShardedCluster::ScheduleNodeFailure(uint32_t node, SimTimeNs at) {
-  if (node >= nodes_.size()) {
-    throw std::out_of_range("leap::ShardedCluster: unknown node");
+  ScheduleCorrelatedFailure({node}, at);
+}
+
+void ShardedCluster::ScheduleCorrelatedFailure(std::vector<uint32_t> group,
+                                               SimTimeNs at) {
+  // Fail fast at schedule time; an unchecked id would blow up later, deep
+  // inside some host's event drain, and a duplicate would fail, count and
+  // repair the same node twice.
+  for (const uint32_t node : group) {
+    if (node >= nodes_.size()) {
+      throw std::out_of_range("leap::ShardedCluster: unknown node");
+    }
   }
-  Shard* shard = shards_[plan_.node_shard[node]].get();
-  shard->events.ScheduleAt(at, [this, shard, node](SimTimeNs when) {
-    nodes_[node]->Fail();
-    shard->counters.Add(counter::kNodeFailures);
-    // Only home-shard hosts can hold slabs on this node (placement is
-    // shard-local), so repair fan-out stays inside the shard. Mirror
-    // replicas on the node are fire-and-forget: they are lost, not
-    // repaired (cross-domain DR semantics).
-    for (const uint32_t h : shard->hosts) {
-      if (alive_[h] != 0) {
-        hosts_[h]->host_agent()->RepairSlabsAfterFailure(node, when);
+  std::vector<uint32_t> sorted = group;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    throw std::invalid_argument(
+        "leap::ShardedCluster: duplicate node in failure group");
+  }
+  for (const auto& shard_ptr : shards_) {
+    Shard* shard = shard_ptr.get();
+    std::vector<uint32_t> members;
+    for (const uint32_t node : group) {
+      if (plan_.node_shard[node] == shard->id) {
+        members.push_back(node);
       }
     }
-  });
+    if (members.empty()) {
+      continue;
+    }
+    shard->events.ScheduleAt(at, [this, shard, members = std::move(members)](
+                                     SimTimeNs when) {
+      // The shard's part of the domain drops at once BEFORE any repair
+      // runs: repair of a slab replicated entirely inside the domain must
+      // see every copy gone. Placement is shard-local, so no slab spans
+      // two shards and the per-shard split keeps that rule.
+      for (const uint32_t node : members) {
+        nodes_[node]->Fail();
+        shard->counters.Add(counter::kNodeFailures);
+        RecordFault(trace_.get(), TraceEventKind::kNodeFail, when, node);
+      }
+      // Only home-shard hosts can hold slabs on these nodes; their repair
+      // traffic rides the fabric at `when`, congesting it like a real
+      // rebuild storm. Mirror replicas on a failed node are lost, not
+      // repaired (cross-domain DR semantics).
+      for (const uint32_t node : members) {
+        for (const uint32_t h : plan_.shard_hosts[shard->id]) {
+          if (alive_[h] != 0) {
+            hosts_[h]->host_agent()->RepairSlabsAfterFailure(node, when);
+          }
+        }
+      }
+    });
+  }
 }
 
 void ShardedCluster::ScheduleNodeRecovery(uint32_t node, SimTimeNs at) {
@@ -221,9 +292,10 @@ void ShardedCluster::ScheduleNodeRecovery(uint32_t node, SimTimeNs at) {
     throw std::out_of_range("leap::ShardedCluster: unknown node");
   }
   Shard* shard = shards_[plan_.node_shard[node]].get();
-  shard->events.ScheduleAt(at, [this, shard, node](SimTimeNs /*when*/) {
+  shard->events.ScheduleAt(at, [this, shard, node](SimTimeNs when) {
     nodes_[node]->Recover();
     shard->counters.Add(counter::kNodeRecoveries);
+    RecordFault(trace_.get(), TraceEventKind::kNodeRecover, when, node);
   });
 }
 
@@ -237,15 +309,20 @@ void ShardedCluster::ScheduleNodeGray(uint32_t node, double stretch,
         "leap::ShardedCluster: gray stretch must be > 0");
   }
   Shard* shard = shards_[plan_.node_shard[node]].get();
-  shard->events.ScheduleAt(at, [shard, node, stretch](SimTimeNs /*when*/) {
+  shard->events.ScheduleAt(at, [this, shard, node, stretch](SimTimeNs when) {
     shard->fabric->SetNodeSlowdown(node, stretch);
-    if (stretch != 1.0) {
+    if (stretch != 1.0) {  // restoring full speed is not a fault event
       shard->counters.Add(counter::kGrayFaultEvents);
+      RecordFault(trace_.get(), TraceEventKind::kGraySet, when, node,
+                  static_cast<uint64_t>(stretch * 1000.0));
+    } else {
+      RecordFault(trace_.get(), TraceEventKind::kGrayClear, when, node);
     }
   });
   if (until > at) {
-    shard->events.ScheduleAt(until, [shard, node](SimTimeNs /*when*/) {
+    shard->events.ScheduleAt(until, [this, shard, node](SimTimeNs when) {
       shard->fabric->SetNodeSlowdown(node, 1.0);
+      RecordFault(trace_.get(), TraceEventKind::kGrayClear, when, node);
     });
   }
 }
@@ -256,13 +333,16 @@ void ShardedCluster::ScheduleNodeDelaySpike(uint32_t node, SimTimeNs extra_ns,
     throw std::out_of_range("leap::ShardedCluster: unknown node");
   }
   Shard* shard = shards_[plan_.node_shard[node]].get();
-  shard->events.ScheduleAt(at, [shard, node, extra_ns](SimTimeNs /*when*/) {
+  shard->events.ScheduleAt(at, [this, shard, node, extra_ns](SimTimeNs when) {
     shard->fabric->SetNodeExtraDelayNs(node, extra_ns);
     shard->counters.Add(counter::kDelaySpikeEvents);
+    RecordFault(trace_.get(), TraceEventKind::kDelaySpike, when, node,
+                extra_ns);
   });
   if (until > at) {
-    shard->events.ScheduleAt(until, [shard, node](SimTimeNs /*when*/) {
+    shard->events.ScheduleAt(until, [this, shard, node](SimTimeNs when) {
       shard->fabric->SetNodeExtraDelayNs(node, 0);
+      RecordFault(trace_.get(), TraceEventKind::kDelaySpike, when, node, 0);
     });
   }
 }
@@ -274,6 +354,16 @@ void ShardedCluster::ScheduleHostLeave(size_t host, SimTimeNs at) {
   Shard* shard = shards_[plan_.host_shard[host]].get();
   shard->events.ScheduleAt(
       at, [this, host](SimTimeNs /*when*/) { RemoveHost(host); });
+}
+
+void ShardedCluster::RunEventsUntil(SimTimeNs t) {
+  for (const auto& shard : shards_) {
+    shard->events.RunUntil(t);
+  }
+}
+
+const HealthMonitor* ShardedCluster::health_monitor(uint32_t node) const {
+  return HomeShardOfNode(node).health.get();
 }
 
 void ShardedCluster::SendMirror(Shard& shard, uint32_t host, uint64_t tick,
@@ -361,7 +451,7 @@ void ShardedCluster::OnBarrier() {
 
   // 2. Global minimum of future work: the earliest app step or pending op
   // anywhere. Background events deliberately do not hold the run open -
-  // like the single-queue engine, events after the last access never run.
+  // events after the last access never run.
   SimTimeNs global_min = BoundAppSet::kNoStep;
   for (const auto& shard : shards_) {
     global_min = std::min(global_min, shard->apps->NextStepTime());
@@ -392,6 +482,8 @@ void ShardedCluster::OnBarrier() {
 }
 
 void ShardedCluster::TakeSample(SimTimeNs ts) {
+  // Runs inside the barrier completion with every worker quiesced, and
+  // only reads simulation state.
   StatsSample sample;
   sample.ts = ts;
   sample_scratch_.Reset();
@@ -402,32 +494,54 @@ void ShardedCluster::TakeSample(SimTimeNs ts) {
   sample.window_demand_ops = sample_scratch_.count();
   sample.window_demand_p50_ns = sample_scratch_.Percentile(0.50);
   sample.window_demand_p99_ns = sample_scratch_.Percentile(0.99);
-  const bool health = shards_[0]->health != nullptr;
-  if (health) {
+  sample.demand_queue_delay_ewma_ns =
+      MergedQueueDelayEwmaNs(IoClass::kDemandRead);
+  sample.prefetch_queue_delay_ewma_ns =
+      MergedQueueDelayEwmaNs(IoClass::kPrefetch);
+  if (shards_[0]->health != nullptr) {
     sample.node_state.reserve(nodes_.size());
     sample.node_ewma_ns.reserve(nodes_.size());
     for (size_t n = 0; n < nodes_.size(); ++n) {
-      const HealthMonitor& monitor =
-          *shards_[plan_.node_shard[n]]->health;
-      sample.node_state.push_back(
-          static_cast<uint8_t>(monitor.State(static_cast<uint32_t>(n))));
-      sample.node_ewma_ns.push_back(
-          monitor.NodeEwmaNs(static_cast<uint32_t>(n)));
+      const auto id = static_cast<uint32_t>(n);
+      const HealthMonitor& monitor = *HomeShardOfNode(id).health;
+      sample.node_state.push_back(static_cast<uint8_t>(monitor.State(id)));
+      sample.node_ewma_ns.push_back(monitor.NodeEwmaNs(id));
     }
   }
   sample.host_free_frames.reserve(hosts_.size());
   sample.host_cache_pages.reserve(hosts_.size());
-  for (const auto& host : hosts_) {
-    sample.host_free_frames.push_back(host->free_frames());
-    sample.host_cache_pages.push_back(host->cache_size());
+  std::vector<std::pair<Pid, double>> budgets;
+  for (size_t h = 0; h < hosts_.size(); ++h) {
+    const Machine& host = *hosts_[h];
+    sample.host_free_frames.push_back(host.free_frames());
+    sample.host_cache_pages.push_back(host.cache_size());
+    // Tier occupancy + cumulative migration volume (the fields stay
+    // empty/zero - and unserialized - on untiered runs).
+    if (const TieredStore* tiered = host.tiered_store()) {
+      if (sample.tier_pages.empty()) {
+        sample.tier_pages.resize(kTierCount, 0);
+      }
+      for (size_t t = 0; t < kTierCount; ++t) {
+        sample.tier_pages[t] += tiered->TierPages(t);
+      }
+      sample.tier_promotions += host.counters().Get(counter::kTierPromotions);
+      sample.tier_demotions += host.counters().Get(counter::kTierDemotions);
+    }
+    if (const BudgetGovernor* governor = host.governor()) {
+      budgets.clear();
+      // SnapshotBudgets (not BudgetFor): reading must not advance the
+      // governor's AIMD epoch, or sampling would perturb the run.
+      governor->SnapshotBudgets(budgets);
+      for (const auto& [pid, budget] : budgets) {
+        sample.tenant_budgets.push_back(
+            {static_cast<uint32_t>(h), pid, budget});
+      }
+    }
   }
   samples_.push_back(std::move(sample));
 }
 
 void ShardedCluster::WorkerLoop(Shard& shard) {
-  if (config_.pin_threads) {
-    PinToCpu(shard.id);
-  }
   for (;;) {
     ApplyPending(shard);
     shard.apps->StepUntil(window_end_, shard.hooks);
@@ -438,9 +552,9 @@ void ShardedCluster::WorkerLoop(Shard& shard) {
     // Background catch-up for shards with nothing left to step (donor-only
     // shards, shards whose apps finished): scenario events keep firing so
     // failures/recoveries still land while the cluster runs. Shards with
-    // live apps drain their queue through Machine::Access, exactly like
-    // the single-queue engine - and the final window never drains here at
-    // all, preserving "events after the last access never run".
+    // live apps drain their queue through Machine::Access - and the final
+    // window never drains here at all, preserving "events after the last
+    // access never run".
     if (shard.apps->AllDone() && window_start_ > 0) {
       shard.events.RunUntil(window_start_ - 1);
     }
@@ -454,8 +568,8 @@ std::vector<RunResult> ShardedCluster::Run(std::vector<ClusterAppSpec> specs) {
   ran_ = true;
 
   // Partition specs by home shard, preserving global order within each
-  // shard (BoundAppSet's min-time tie-break is index order, and Cluster
-  // feeds specs in caller order - shards=1 must match exactly).
+  // shard (BoundAppSet's min-time tie-break is index order, so shards=1
+  // steps apps exactly in caller order).
   for (size_t i = 0; i < specs.size(); ++i) {
     const ClusterAppSpec& spec = specs[i];
     if (spec.host >= hosts_.size()) {
@@ -468,6 +582,7 @@ std::vector<RunResult> ShardedCluster::Run(std::vector<ClusterAppSpec> specs) {
   const bool mirrors_on = config_.mirror_every > 0 && plan_.shards > 1;
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
+    shard.host_tick.assign(hosts_.size(), 0);
     std::vector<BoundAppSpec> bound;
     bound.reserve(shard.app_spec_index.size());
     for (const size_t i : shard.app_spec_index) {
@@ -522,8 +637,8 @@ std::vector<RunResult> ShardedCluster::Run(std::vector<ClusterAppSpec> specs) {
       std::make_unique<WindowBarrier>(plan_.shards, [this] { OnBarrier(); });
 
   if (plan_.shards == 1) {
-    // Single shard: run inline. No threads, no pinning - the worker loop
-    // plus barrier degenerate to exactly the single-queue engine's loop.
+    // Single shard: run inline, no threads - the worker loop plus barrier
+    // degenerate to one global-time-ordered loop over every app.
     WorkerLoop(*shards_[0]);
   } else {
     for (const auto& shard : shards_) {
@@ -590,35 +705,28 @@ ClusterStats ShardedCluster::Stats() const {
     const auto cls = static_cast<IoClass>(c);
     double delay_sum = 0.0, sojourn_sum = 0.0;
     uint64_t delay_ops = 0, sojourn_ops = 0;
-    double single_ewma = 0.0, weighted_ewma = 0.0;
-    size_t ewma_contributors = 0;
     for (const auto& shard : shards_) {
       const Fabric& fabric = *shard->fabric;
       delay_sum += fabric.ClassQueueDelaySumNs(cls);
+      delay_ops += fabric.ClassQueueDelayOps(cls);
       sojourn_sum += fabric.ClassSojournSumNs(cls);
       sojourn_ops += fabric.ClassSojournOps(cls);
-      const uint64_t ops = fabric.ClassQueueDelayOps(cls);
-      delay_ops += ops;
-      if (ops > 0) {
-        ++ewma_contributors;
-        single_ewma = fabric.QueueDelayEwmaNs(cls);
-        weighted_ewma +=
-            fabric.QueueDelayEwmaNs(cls) * static_cast<double>(ops);
-      }
     }
-    // One contributing shard: copy its EWMA verbatim (float-exact, and
-    // therefore bit-identical to Cluster at shards=1). Several: the
-    // ops-weighted mean is the sensible cluster-wide summary.
-    stats.class_queue_delay_ewma_ns[c] =
-        ewma_contributors == 0
-            ? 0.0
-            : (ewma_contributors == 1
-                   ? single_ewma
-                   : weighted_ewma / static_cast<double>(delay_ops));
+    stats.class_queue_delay_ewma_ns[c] = MergedQueueDelayEwmaNs(cls);
     stats.class_queue_delay_mean_ns[c] =
         delay_ops == 0 ? 0.0 : delay_sum / static_cast<double>(delay_ops);
     stats.class_sojourn_mean_ns[c] =
         sojourn_ops == 0 ? 0.0 : sojourn_sum / static_cast<double>(sojourn_ops);
+  }
+  {
+    double delay_sum = 0.0;
+    uint64_t delay_ops = 0;
+    for (const auto& shard : shards_) {
+      delay_sum += shard->fabric->queue_delay_hist().Sum();
+      delay_ops += shard->fabric->queue_delay_hist().count();
+    }
+    stats.fabric_queue_delay_mean_ns =
+        delay_ops == 0 ? 0.0 : delay_sum / static_cast<double>(delay_ops);
   }
   if (shards_[0]->health != nullptr) {
     stats.node_health_ewma_ns.reserve(nodes_.size());
@@ -626,8 +734,8 @@ ClusterStats ShardedCluster::Stats() const {
     for (size_t n = 0; n < nodes_.size(); ++n) {
       // Each node's health lives on its home shard's monitor: only home
       // hosts read from it, so only that monitor ever saw its latencies.
-      const HealthMonitor& monitor = *shards_[plan_.node_shard[n]]->health;
       const auto id = static_cast<uint32_t>(n);
+      const HealthMonitor& monitor = *HomeShardOfNode(id).health;
       stats.node_health_ewma_ns.push_back(monitor.NodeEwmaNs(id));
       stats.node_health_state.push_back(monitor.State(id));
     }
@@ -679,6 +787,29 @@ ClusterStats ShardedCluster::Stats() const {
   return stats;
 }
 
+double ShardedCluster::MergedQueueDelayEwmaNs(IoClass cls) const {
+  double single = 0.0, weighted = 0.0;
+  uint64_t ops_total = 0;
+  size_t contributors = 0;
+  for (const auto& shard : shards_) {
+    const Fabric& fabric = *shard->fabric;
+    const uint64_t ops = fabric.ClassQueueDelayOps(cls);
+    if (ops > 0) {
+      ++contributors;
+      ops_total += ops;
+      single = fabric.QueueDelayEwmaNs(cls);
+      weighted += single * static_cast<double>(ops);
+    }
+  }
+  // One contributing shard: its EWMA verbatim (float-exact, so shards=1
+  // reports the fabric's own signal). Several: the ops-weighted mean is
+  // the sensible cluster-wide summary.
+  if (contributors <= 1) {
+    return single;
+  }
+  return weighted / static_cast<double>(ops_total);
+}
+
 uint64_t ShardedCluster::mailbox_overflows() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) {
@@ -687,6 +818,102 @@ uint64_t ShardedCluster::mailbox_overflows() const {
     }
   }
   return total;
+}
+
+void ShardedCluster::DumpStats(std::ostream& out) const {
+  const ClusterStats stats = Stats();
+  out << "cluster: " << hosts_.size() << " hosts, " << nodes_.size()
+      << " nodes, seed " << config_.base.seed << "\n";
+
+  out << "\n-- counters (nonzero totals) --\n";
+  TextTable counters;
+  counters.SetHeader({"counter", "value"});
+  for (const auto& [name, value] : stats.totals.values()) {
+    counters.AddRow({name, FmtU64(value)});
+  }
+  out << counters.Render();
+
+  out << "\n-- nodes --\n";
+  TextTable node_table;
+  node_table.SetHeader(
+      {"node", "slabs", "reads", "writes", "health", "ewma_ns"});
+  for (size_t n = 0; n < stats.node_slabs.size(); ++n) {
+    const bool health = n < stats.node_health_state.size();
+    node_table.AddRow(
+        {FmtU64(n), FmtU64(stats.node_slabs[n]), FmtU64(stats.node_reads[n]),
+         FmtU64(stats.node_writes[n]),
+         health ? NodeHealthName(stats.node_health_state[n]) : "-",
+         health ? FmtNs(stats.node_health_ewma_ns[n]) : "-"});
+  }
+  out << node_table.Render();
+
+  out << "\n-- node downlinks: ops by class --\n";
+  TextTable link_table;
+  {
+    std::vector<std::string> header{"node"};
+    for (size_t c = 0; c < kIoClassCount; ++c) {
+      header.push_back(IoClassName(static_cast<IoClass>(c)));
+    }
+    header.push_back("bytes");
+    link_table.SetHeader(std::move(header));
+  }
+  for (size_t n = 0; n < stats.node_downlink_classes.size(); ++n) {
+    const LinkClassCounts& link = stats.node_downlink_classes[n];
+    std::vector<std::string> row{FmtU64(n)};
+    uint64_t bytes = 0;
+    for (size_t c = 0; c < kIoClassCount; ++c) {
+      row.push_back(FmtU64(link.ops[c]));
+      bytes += link.bytes[c];
+    }
+    row.push_back(FmtU64(bytes));
+    link_table.AddRow(std::move(row));
+  }
+  out << link_table.Render();
+
+  out << "\n-- stage breakdown: mean ns/op by class "
+         "(software|queue|wire|stall|service) --\n";
+  TextTable stage_table;
+  stage_table.SetHeader({"class", "ops", "software", "queue", "wire", "stall",
+                         "service", "total"});
+  for (size_t c = 0; c < kIoClassCount; ++c) {
+    const StageBreakdown::Stage& s = stats.stages.cls[c];
+    if (s.ops == 0) {
+      continue;
+    }
+    stage_table.AddRow({IoClassName(static_cast<IoClass>(c)), FmtU64(s.ops),
+                        FmtNs(s.MeanNs(s.software_ns)),
+                        FmtNs(s.MeanNs(s.queue_ns)), FmtNs(s.MeanNs(s.wire_ns)),
+                        FmtNs(s.MeanNs(s.stall_ns)),
+                        FmtNs(s.MeanNs(s.service_ns)),
+                        FmtNs(s.MeanNs(s.TotalNs()))});
+  }
+  out << stage_table.Render();
+
+  out << "\n-- demand read p99, per stage (ns) --\n";
+  TextTable p99_table;
+  p99_table.SetHeader(
+      {"software", "queue", "wire", "stall", "service", "end_to_end"});
+  p99_table.AddRow({FmtU64(stats.stages.demand_p99_software_ns),
+                    FmtU64(stats.stages.demand_p99_queue_ns),
+                    FmtU64(stats.stages.demand_p99_wire_ns),
+                    FmtU64(stats.stages.demand_p99_stall_ns),
+                    FmtU64(stats.stages.demand_p99_service_ns),
+                    FmtU64(stats.stages.demand_p99_total_ns)});
+  out << p99_table.Render();
+
+  if (!stats.tier_pages.empty()) {
+    out << "\n-- tier occupancy (pages, all hosts) --\n";
+    TextTable tier_table;
+    tier_table.SetHeader({"tier", "pages"});
+    for (size_t t = 0; t < stats.tier_pages.size(); ++t) {
+      tier_table.AddRow({TierName(t), FmtU64(stats.tier_pages[t])});
+    }
+    out << tier_table.Render();
+  }
+  if (trace_ != nullptr) {
+    out << "\ntrace: " << trace_->size() << " events buffered, "
+        << trace_->dropped() << " dropped\n";
+  }
 }
 
 }  // namespace leap

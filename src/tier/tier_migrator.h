@@ -1,5 +1,5 @@
 // Background hot/cold migrator: a kswapd-style self-rescheduling tick on
-// the shared EventQueue (the same pattern as kswapd and StatsSampler) that
+// the shared EventQueue (the same pattern as kswapd) that
 // keeps the fast tier holding the hot pages.
 //
 // Each tick, in order:

@@ -14,7 +14,7 @@
 
 #include "src/paging/swap_manager.h"
 #include "src/prefetch/budget_governor.h"
-#include "src/runtime/cluster.h"
+#include "src/runtime/sharded_cluster.h"
 #include "src/runtime/presets.h"
 #include "src/workload/cluster_mix.h"
 
@@ -217,7 +217,7 @@ TEST(BudgetGovernor, SameSeedClusterRunsMakeIdenticalBudgetDecisions) {
     config.host.budget = TestConfig();
     config.host.budget.queue_delay_threshold_ns = 2'000.0;
     config.seed = 91;
-    Cluster cluster(config);
+    ShardedCluster cluster({config});
 
     std::vector<std::unique_ptr<AccessStream>> streams;
     std::vector<ClusterAppSpec> specs;

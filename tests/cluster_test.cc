@@ -1,16 +1,18 @@
-// Cluster subsystem tests: same-seed bit-identical runs, fabric contention
-// (p99 remote latency rises with host count at fixed per-link bandwidth),
-// placement-policy effects at cluster level, node failure/recovery with
-// read-your-writes across re-mapped slabs, donor-pool exhaustion degrading
-// gracefully (counted), and host join/leave.
+// Cluster subsystem tests (on the default single-shard engine): same-seed
+// bit-identical runs, fabric contention (p99 remote latency rises with
+// host count at fixed per-link bandwidth), placement-policy effects at
+// cluster level, node failure/recovery with read-your-writes across
+// re-mapped slabs, donor-pool exhaustion degrading gracefully (counted),
+// and host join/leave.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "src/runtime/cluster.h"
+#include "src/runtime/sharded_cluster.h"
 #include "src/runtime/presets.h"
 #include "src/workload/cluster_mix.h"
 #include "src/workload/patterns.h"
@@ -40,7 +42,7 @@ struct MixedRun {
   std::vector<std::unique_ptr<AccessStream>> streams;
 };
 
-MixedRun RunMixed(Cluster& cluster, size_t accesses_per_host) {
+MixedRun RunMixed(ShardedCluster& cluster, size_t accesses_per_host) {
   MixedRun out;
   std::vector<ClusterAppSpec> specs;
   SimTimeNs warm_end = 0;
@@ -76,7 +78,7 @@ struct ClusterFingerprint {
 };
 
 ClusterFingerprint FingerprintOnce(const ClusterConfig& config) {
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
   const MixedRun run = RunMixed(cluster, 8000);
   ClusterFingerprint fp;
   for (size_t h = 0; h < cluster.num_hosts(); ++h) {
@@ -113,7 +115,7 @@ TEST(Cluster, FabricContentionRaisesTailLatencyWithHostCount) {
     ClusterConfig config = SmallCluster(hosts, 2);
     // A modest fabric makes contention visible at test sizes.
     config.fabric.link_gbps = 25.0;
-    Cluster cluster(config);
+    ShardedCluster cluster({config});
     MixedRun run = RunMixed(cluster, 6000);
     Histogram merged;
     for (size_t h = 0; h < cluster.num_hosts(); ++h) {
@@ -136,7 +138,7 @@ TEST(Cluster, PowerOfTwoBeatsFirstFitOnSlabImbalance) {
   auto imbalance_with = [](PlacementPolicy policy) {
     ClusterConfig config = SmallCluster(4, 4);
     config.placement = policy;
-    Cluster cluster(config);
+    ShardedCluster cluster({config});
     RunMixed(cluster, 2000);
     return cluster.Stats().SlabImbalance();
   };
@@ -150,7 +152,7 @@ TEST(Cluster, PowerOfTwoBeatsFirstFitOnSlabImbalance) {
 TEST(Cluster, StripedPlacementSpreadsEveryNode) {
   ClusterConfig config = SmallCluster(2, 4);
   config.placement = PlacementPolicy::kStriped;
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
   RunMixed(cluster, 2000);
   const ClusterStats stats = cluster.Stats();
   for (size_t n = 0; n < cluster.num_nodes(); ++n) {
@@ -164,7 +166,7 @@ TEST(Cluster, NodeFailureRepairPreservesReadYourWrites) {
   ClusterConfig config = SmallCluster(2, 3);
   config.host.host_agent.slab_pages = 32;
   config.host.host_agent.replicas = 2;
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
   HostAgent* agent = cluster.host(0).host_agent();
   ASSERT_NE(agent, nullptr);
   Rng rng(7);
@@ -185,7 +187,7 @@ TEST(Cluster, NodeFailureRepairPreservesReadYourWrites) {
     }
   }
   cluster.ScheduleNodeFailure(victim, 1 * kNsPerMs);
-  cluster.events().RunUntil(2 * kNsPerMs);
+  cluster.RunEventsUntil(2 * kNsPerMs);
   ASSERT_TRUE(cluster.node(victim).failed());
 
   const ClusterStats after_fail = cluster.Stats();
@@ -207,7 +209,7 @@ TEST(Cluster, NodeFailureRepairPreservesReadYourWrites) {
 
   // Recovery: the node rejoins the pool; reads still see the latest tags.
   cluster.ScheduleNodeRecovery(victim, 4 * kNsPerMs);
-  cluster.events().RunUntil(5 * kNsPerMs);
+  cluster.RunEventsUntil(5 * kNsPerMs);
   ASSERT_FALSE(cluster.node(victim).failed());
   for (SwapSlot slot = 0; slot < 256; ++slot) {
     const auto expected = (slot % 2 == 0) ? tag2(slot) : tag1(slot);
@@ -219,7 +221,7 @@ TEST(Cluster, NodeFailureRepairPreservesReadYourWrites) {
 TEST(Cluster, FailureDuringRunKeepsHostsFinishing) {
   ClusterConfig config = SmallCluster(2, 3);
   config.host.host_agent.replicas = 2;
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
   // Fail node 0 shortly into the measured run, recover it later; the apps
   // must still finish (reads fail over / hit repaired replicas).
   std::vector<ClusterAppSpec> specs;
@@ -244,8 +246,8 @@ TEST(Cluster, FailureDuringRunKeepsHostsFinishing) {
   EXPECT_TRUE(results[0].finished);
   EXPECT_TRUE(results[1].finished);
   // The workloads may finish before the scheduled recovery: advance the
-  // shared clock past it so the scenario completes.
-  cluster.events().RunUntil(warm_end + 50 * kNsPerMs);
+  // event queues past it so the scenario completes.
+  cluster.RunEventsUntil(warm_end + 50 * kNsPerMs);
   const ClusterStats stats = cluster.Stats();
   EXPECT_EQ(stats.totals.Get(counter::kNodeFailures), 1u);
   EXPECT_EQ(stats.totals.Get(counter::kNodeRecoveries), 1u);
@@ -257,7 +259,7 @@ TEST(Cluster, CapacityExhaustionIsCountedAndDegradesGracefully) {
   ClusterConfig config = SmallCluster(1, 1);
   config.node_capacity_slabs = 2;  // 2 slabs of 64 pages vs 2048-page set
   config.host.host_agent.replicas = 1;
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
   const MixedRun run = RunMixed(cluster, 6000);
   EXPECT_TRUE(run.results[0].finished);
   const ClusterStats stats = cluster.Stats();
@@ -274,7 +276,7 @@ TEST(Cluster, CapacityExhaustionIsCountedAndDegradesGracefully) {
 
 TEST(Cluster, HostJoinAndLeaveReturnSlabsToThePool) {
   ClusterConfig config = SmallCluster(1, 2);
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
   const size_t joined = cluster.AddHost();
   EXPECT_EQ(joined, 1u);
   EXPECT_EQ(cluster.num_hosts(), 2u);
@@ -294,9 +296,16 @@ TEST(Cluster, HostJoinAndLeaveReturnSlabsToThePool) {
   EXPECT_EQ(stats.totals.Get(counter::kHostLeaves), 1u);
 }
 
+TEST(Cluster, AddHostAfterRunThrows) {
+  ShardedCluster cluster({SmallCluster(1, 2)});
+  RunMixed(cluster, 500);
+  EXPECT_THROW(cluster.AddHost(), std::logic_error);
+  EXPECT_EQ(cluster.num_hosts(), 1u);
+}
+
 TEST(Cluster, ScheduledHostLeaveStopsItsWorkloadMidRun) {
   ClusterConfig config = SmallCluster(2, 2);
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
   std::vector<ClusterAppSpec> specs;
   std::vector<std::unique_ptr<AccessStream>> streams;
   SimTimeNs warm_end = 0;

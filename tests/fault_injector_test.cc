@@ -1,9 +1,9 @@
 // FaultPlan / FaultInjector tests: builder validation (value errors throw
 // at the call site), build-time expansion of GrayRamp and Flap into the
-// five primitive kinds, target-id validation against a concrete cluster,
-// and the two determinism contracts the injector promises - same seed +
-// same plan is bit-identical, and an empty plan is byte-identical to no
-// plan at all.
+// five primitive kinds, target-id and duplicate-id validation, correlated
+// crashes split across shards, and the two determinism contracts the
+// injector promises - same seed + same plan is bit-identical, and an empty
+// plan is byte-identical to no plan at all.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "src/cluster/fault_injector.h"
-#include "src/runtime/cluster.h"
+#include "src/runtime/sharded_cluster.h"
 #include "src/runtime/presets.h"
 #include "src/workload/cluster_mix.h"
 
@@ -40,7 +40,7 @@ struct MixedRun {
   SimTimeNs run_start = 0;  // absolute; completions are elapsed from here
 };
 
-MixedRun RunMixed(Cluster& cluster, size_t accesses_per_host) {
+MixedRun RunMixed(ShardedCluster& cluster, size_t accesses_per_host) {
   MixedRun out;
   std::vector<ClusterAppSpec> specs;
   SimTimeNs warm_end = 0;
@@ -106,8 +106,24 @@ TEST(FaultPlan, ValidateRejectsUnknownNodeIds) {
   plan.Validate(/*node_count=*/6);  // all ids in range: no throw
 }
 
+// A duplicate id in a failure group would fail, count and repair the same
+// node twice; both FaultPlan::CrashGroup and the engine reject it up front.
+TEST(FaultPlan, CrashGroupRejectsDuplicateIds) {
+  FaultPlan plan;
+  EXPECT_THROW(plan.CrashGroup({2, 2}, kNsPerMs), std::invalid_argument);
+  EXPECT_THROW(plan.CrashGroup({1, 2, 1}, kNsPerMs), std::invalid_argument);
+  EXPECT_TRUE(plan.empty());
+
+  ShardedCluster cluster({SmallCluster(1, 4)});
+  EXPECT_THROW(cluster.ScheduleCorrelatedFailure({2, 2}, kNsPerMs),
+               std::invalid_argument);
+  cluster.RunEventsUntil(2 * kNsPerMs);
+  EXPECT_FALSE(cluster.node(2).failed());
+  EXPECT_EQ(cluster.Stats().totals.Get(counter::kNodeFailures), 0u);
+}
+
 TEST(FaultInjector, ArmRevalidatesAgainstTheConcreteCluster) {
-  Cluster cluster(SmallCluster(1, 2));
+  ShardedCluster cluster({SmallCluster(1, 2)});
   FaultPlan plan;
   plan.Gray(3, 8.0, kNsPerMs);  // node 3 of a 2-node cluster
   EXPECT_THROW(FaultInjector::Arm(cluster, plan), std::out_of_range);
@@ -180,7 +196,7 @@ struct ClusterFingerprint {
 ClusterFingerprint FingerprintWithPlan(const ClusterConfig& config,
                                        const FaultPlan* plan,
                                        size_t accesses) {
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
   if (plan != nullptr) {
     FaultInjector::Arm(cluster, *plan);
   }
@@ -215,7 +231,7 @@ TEST(FaultInjector, SameSeedSamePlanBitIdentical) {
   SimTimeNs run_start = 0;
   SimTimeNs span = 0;
   {
-    Cluster calib(config);
+    ShardedCluster calib({config});
     const MixedRun c = RunMixed(calib, /*accesses_per_host=*/8000);
     run_start = c.run_start;
     for (const RunResult& r : c.results) {
@@ -267,7 +283,7 @@ TEST(FaultInjector, CorrelatedCrashLosesDataSingleCrashDoesNot) {
     // pairs land on {1, 2} under the deterministic placement).
     ClusterConfig config = SmallCluster(1, 4);
     config.host.host_agent.replicas = 2;
-    Cluster cluster(config);
+    ShardedCluster cluster({config});
     FaultPlan plan;
     if (group.size() == 1) {
       plan.Crash(group[0], kNsPerMs);
@@ -285,7 +301,7 @@ TEST(FaultInjector, CorrelatedCrashLosesDataSingleCrashDoesNot) {
     for (SwapSlot slot = 0; slot < probe_slots; ++slot) {
       agent->WriteTag(slot, probe_tag(slot), /*now=*/0, tag_rng);
     }
-    cluster.events().RunUntil(2 * kNsPerMs);  // crash + repair fire
+    cluster.RunEventsUntil(2 * kNsPerMs);  // crash + repair fire
     size_t lost = 0;
     for (SwapSlot slot = 0; slot < probe_slots; ++slot) {
       if (agent->ReadTag(slot) != std::optional<uint64_t>(probe_tag(slot))) {
@@ -296,6 +312,44 @@ TEST(FaultInjector, CorrelatedCrashLosesDataSingleCrashDoesNot) {
   };
   EXPECT_EQ(tags_lost_with_group({1}), 0u);
   EXPECT_GT(tags_lost_with_group({1, 2}), 0u);
+}
+
+// A failure domain whose members live on different shards: each home
+// shard fails its members and repairs its own hosts' slabs, and every
+// member is failed and counted exactly once.
+TEST(FaultInjector, CrashGroupSpanningShardsFailsEveryMemberOnce) {
+  ShardedClusterConfig config;
+  // 6 nodes / 2 shards: nodes 0,2,4 on shard 0 and 1,3,5 on shard 1, so
+  // each shard keeps two repair targets after losing one member.
+  config.base = SmallCluster(4, 6);
+  config.base.host.host_agent.replicas = 2;
+  config.shards = 2;
+  ShardedCluster cluster(config);
+  ASSERT_EQ(cluster.plan().node_shard[0], 0u);
+  ASSERT_EQ(cluster.plan().node_shard[1], 1u);
+  ASSERT_EQ(cluster.plan().host_shard[0], 0u);
+  ASSERT_EQ(cluster.plan().host_shard[3], 1u);
+
+  Rng tag_rng(7);
+  for (size_t h = 0; h < cluster.num_hosts(); ++h) {
+    HostAgent* agent = cluster.host(h).host_agent();
+    for (SwapSlot slot = 0; slot < 1024; ++slot) {
+      agent->WriteTag(slot, slot + 1, /*now=*/0, tag_rng);
+    }
+  }
+  FaultPlan plan;
+  plan.CrashGroup({0, 1}, kNsPerMs);
+  FaultInjector::Arm(cluster, plan);
+  cluster.RunEventsUntil(2 * kNsPerMs);
+
+  for (uint32_t n = 0; n < cluster.num_nodes(); ++n) {
+    EXPECT_EQ(cluster.node(n).failed(), n < 2) << "node " << n;
+  }
+  const ClusterStats stats = cluster.Stats();
+  EXPECT_EQ(stats.totals.Get(counter::kNodeFailures), 2u);
+  // Both shards ran their repair fan-out.
+  EXPECT_GT(cluster.host(0).counters().Get(counter::kSlabRepairs), 0u);
+  EXPECT_GT(cluster.host(3).counters().Get(counter::kSlabRepairs), 0u);
 }
 
 }  // namespace

@@ -24,8 +24,8 @@
 #include "src/obs/stats_sampler.h"
 #include "src/obs/trace_recorder.h"
 #include "src/runtime/app_runner.h"
-#include "src/runtime/cluster.h"
 #include "src/runtime/presets.h"
+#include "src/runtime/sharded_cluster.h"
 #include "src/workload/patterns.h"
 
 namespace leap {
@@ -124,8 +124,8 @@ struct ClusterOutcome {
 // One deterministic 2-host run with a mid-run gray fault; returns the
 // fingerprint and (optionally) the cluster for trace/sampler inspection.
 ClusterOutcome RunSmall(const ClusterConfig& config,
-                        std::unique_ptr<Cluster>* keep = nullptr) {
-  auto cluster = std::make_unique<Cluster>(config);
+                        std::unique_ptr<ShardedCluster>* keep = nullptr) {
+  auto cluster = std::make_unique<ShardedCluster>(ShardedClusterConfig{config});
   std::vector<std::unique_ptr<AccessStream>> streams;
   std::vector<ClusterAppSpec> specs;
   std::vector<Pid> pids;
@@ -170,7 +170,7 @@ ClusterOutcome RunSmall(const ClusterConfig& config,
 // --- 2 + 3. stage attribution ----------------------------------------------
 
 TEST(StageBreakdownTest, PerOpStagesTelescopeToDuration) {
-  std::unique_ptr<Cluster> cluster;
+  std::unique_ptr<ShardedCluster> cluster;
   RunSmall(SmallConfig(/*trace_on=*/true, /*sampler_on=*/false), &cluster);
   const TraceRecorder* rec = cluster->trace();
   ASSERT_NE(rec, nullptr);
@@ -189,7 +189,7 @@ TEST(StageBreakdownTest, PerOpStagesTelescopeToDuration) {
 }
 
 TEST(StageBreakdownTest, DemandStageMeanEqualsSojournMean) {
-  std::unique_ptr<Cluster> cluster;
+  std::unique_ptr<ShardedCluster> cluster;
   RunSmall(SmallConfig(/*trace_on=*/false, /*sampler_on=*/false), &cluster);
   const ClusterStats stats = cluster->Stats();
   const size_t demand = static_cast<size_t>(IoClass::kDemandRead);
@@ -357,7 +357,7 @@ class JsonChecker {
 };
 
 TEST(ChromeTraceExportTest, ExportsValidJsonWithExpectedTracks) {
-  std::unique_ptr<Cluster> cluster;
+  std::unique_ptr<ShardedCluster> cluster;
   RunSmall(SmallConfig(/*trace_on=*/true, /*sampler_on=*/false), &cluster);
   ASSERT_NE(cluster->trace(), nullptr);
   std::ostringstream out;
@@ -382,19 +382,20 @@ TEST(ChromeTraceExportTest, EmptyRecorderExportsValidJson) {
 // --- 6. sampler determinism -------------------------------------------------
 
 TEST(StatsSamplerTest, CadenceAndContentsAreDeterministic) {
-  std::unique_ptr<Cluster> c1;
-  std::unique_ptr<Cluster> c2;
+  std::unique_ptr<ShardedCluster> c1;
+  std::unique_ptr<ShardedCluster> c2;
   RunSmall(SmallConfig(/*trace_on=*/false, /*sampler_on=*/true), &c1);
   RunSmall(SmallConfig(/*trace_on=*/false, /*sampler_on=*/true), &c2);
-  ASSERT_NE(c1->sampler(), nullptr);
-  ASSERT_NE(c2->sampler(), nullptr);
-  const auto& s1 = c1->sampler()->samples();
-  const auto& s2 = c2->sampler()->samples();
+  const auto& s1 = c1->samples();
+  const auto& s2 = c2->samples();
   ASSERT_GT(s1.size(), 10u);
   ASSERT_EQ(s1.size(), s2.size());
-  const SimTimeNs period = c1->sampler()->config().period_ns;
+  // Samples start at the first period boundary inside the run and then
+  // land on every boundary: exact cadence, no drift.
+  const SimTimeNs period = StatsSamplerConfig{}.period_ns;
+  EXPECT_EQ(s1[0].ts % period, 0u);
   for (size_t i = 0; i < s1.size(); ++i) {
-    EXPECT_EQ(s1[i].ts, (i + 1) * period);  // exact cadence, no drift
+    EXPECT_EQ(s1[i].ts, s1[0].ts + i * period);
     EXPECT_EQ(s1[i].ts, s2[i].ts);
     EXPECT_EQ(s1[i].window_demand_ops, s2[i].window_demand_ops);
     EXPECT_EQ(s1[i].window_demand_p99_ns, s2[i].window_demand_p99_ns);
@@ -406,7 +407,7 @@ TEST(StatsSamplerTest, CadenceAndContentsAreDeterministic) {
   }
   // The JSONL writer emits one parseable object per line.
   std::ostringstream jsonl;
-  c1->sampler()->WriteJsonl(jsonl);
+  WriteJsonl(s1, jsonl);
   std::istringstream lines(jsonl.str());
   std::string line;
   size_t n = 0;
@@ -420,10 +421,10 @@ TEST(StatsSamplerTest, CadenceAndContentsAreDeterministic) {
 // The gray fault must actually have been detected in this fixture -
 // otherwise the "gray_set -> gray span" walkthrough asserts on nothing.
 TEST(StatsSamplerTest, GrayNodeShowsUpInTheTimeSeries) {
-  std::unique_ptr<Cluster> cluster;
+  std::unique_ptr<ShardedCluster> cluster;
   RunSmall(SmallConfig(/*trace_on=*/false, /*sampler_on=*/true), &cluster);
   bool saw_gray = false;
-  for (const StatsSample& s : cluster->sampler()->samples()) {
+  for (const StatsSample& s : cluster->samples()) {
     if (s.node_state.size() > kGrayNode && s.node_state[kGrayNode] == 2) {
       saw_gray = true;
       break;

@@ -1,6 +1,7 @@
-// Sharded parallel engine tests: the determinism contract (shards=1 is
-// bit-identical to the single-queue Cluster; same seed + same shard count
-// is bit-identical across runs and across mailbox capacities), the shard
+// Cluster engine tests: the determinism contract (shards=1 reproduces a
+// golden fingerprint captured from the former single-queue engine; same
+// seed + same shard count is bit-identical across runs and across mailbox
+// capacities), the shard
 // planner and lookahead derivation, the SPSC mailbox's FIFO/overflow
 // behavior, and the protocol edge cases the window design calls out -
 // scenario events landing exactly on a window boundary, donor-only
@@ -14,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "src/runtime/cluster.h"
 #include "src/runtime/presets.h"
 #include "src/runtime/shard_plan.h"
 #include "src/runtime/sharded_cluster.h"
@@ -39,10 +39,9 @@ ClusterConfig SmallCluster(size_t hosts, size_t nodes) {
 }
 
 // Warm every host back-to-back, then one mixed-pattern app per host -
-// the exact sequence cluster_test drives, templated so the single-queue
-// and sharded engines see byte-identical inputs.
-template <typename Engine>
-std::vector<RunResult> RunMixed(Engine& cluster, size_t accesses_per_host,
+// the exact sequence cluster_test drives.
+std::vector<RunResult> RunMixed(ShardedCluster& cluster,
+                                size_t accesses_per_host,
                                 std::vector<std::unique_ptr<AccessStream>>& streams,
                                 SimTimeNs* warm_end_out = nullptr) {
   std::vector<ClusterAppSpec> specs;
@@ -69,7 +68,7 @@ std::vector<RunResult> RunMixed(Engine& cluster, size_t accesses_per_host,
 
 // Probe one failure-free run to find a simulated time guaranteed to fall
 // inside the measured phase (failures scheduled after the last access
-// never fire - same rule as the single-queue engine).
+// never fire).
 SimTimeNs MidRunTime(const ShardedClusterConfig& config) {
   ShardedCluster probe(config);
   std::vector<std::unique_ptr<AccessStream>> streams;
@@ -246,44 +245,46 @@ TEST(SpscMailbox, CrossShardOpOrderBreaksTiesBySenderThenSeq) {
   EXPECT_TRUE(CrossShardOpBefore(b, a)) << "time dominates sender/seq";
 }
 
-// --- shards=1 equivalence ----------------------------------------------------
+// --- shards=1 golden fixture -------------------------------------------------
 
-// Acceptance criterion: shards=1 produces output byte-identical to the
-// single-queue engine - same construction order, same seed draws, same
-// stepping sequence.
-TEST(ShardedCluster, SingleShardMatchesClusterBitExactly) {
-  const ClusterConfig config = SmallCluster(3, 2);
+// Acceptance criterion: shards=1 keeps producing exactly what the former
+// single-queue engine produced on this config (same construction order,
+// same seed draws, same stepping sequence). The expected values below were
+// captured from that engine and pin every integer the run reports.
+TEST(ShardedCluster, SingleShardMatchesGoldenFingerprint) {
+  ShardedClusterConfig config;
+  config.base = SmallCluster(3, 2);
+  ShardedCluster cluster(config);
+  ASSERT_EQ(cluster.num_shards(), 1u);
+  std::vector<std::unique_ptr<AccessStream>> streams;
+  const std::vector<RunResult> results = RunMixed(cluster, 6000, streams);
+  const ClusterStats stats = cluster.Stats();
 
-  Cluster reference(config);
-  std::vector<std::unique_ptr<AccessStream>> ref_streams;
-  const std::vector<RunResult> ref_results =
-      RunMixed(reference, 6000, ref_streams);
-
-  ShardedClusterConfig sharded_config;
-  sharded_config.base = config;
-  sharded_config.shards = 1;
-  ShardedCluster sharded(sharded_config);
-  ASSERT_EQ(sharded.num_shards(), 1u);
-  std::vector<std::unique_ptr<AccessStream>> sh_streams;
-  const std::vector<RunResult> sh_results = RunMixed(sharded, 6000, sh_streams);
-
-  ExpectResultsEqual(ref_results, sh_results);
-  ExpectStatsEqual(reference.Stats(), sharded.Stats());
-  for (size_t h = 0; h < reference.num_hosts(); ++h) {
-    EXPECT_EQ(reference.host(h).counters().values(),
-              sharded.host(h).counters().values())
+  const std::map<std::string, uint64_t> golden_totals = {
+      {"cache_adds", 12912u},      {"cache_hits", 10193u},
+      {"cache_misses", 2650u},     {"demand_reads", 2650u},
+      {"eager_frees", 10193u},     {"evictions", 15984u},
+      {"host_joins", 3u},          {"page_faults", 18987u},
+      {"prefetch_hits", 10193u},   {"prefetch_issued", 10262u},
+      {"prefetch_wait_hits", 2798u}, {"remote_reads", 12912u},
+      {"remote_writes", 6089u},    {"writebacks", 6089u},
+  };
+  EXPECT_EQ(stats.totals.values(), golden_totals);
+  EXPECT_EQ(stats.node_reads, (std::vector<uint64_t>{6881, 6031}));
+  EXPECT_EQ(stats.node_writes, (std::vector<uint64_t>{6089, 6089}));
+  EXPECT_EQ(stats.fabric_ops, 25090u);
+  const std::vector<SimTimeNs> golden_completion = {13200099, 11134608,
+                                                    12927907};
+  const std::vector<uint64_t> golden_remote_p99 = {34048, 20096, 22656};
+  ASSERT_EQ(results.size(), 3u);
+  for (size_t h = 0; h < results.size(); ++h) {
+    EXPECT_EQ(results[h].completion_ns, golden_completion[h]) << "host " << h;
+    EXPECT_EQ(cluster.host_remote_latency(h).Percentile(0.99),
+              golden_remote_p99[h])
         << "host " << h;
-    EXPECT_EQ(reference.host_remote_latency(h).count(),
-              sharded.host_remote_latency(h).count());
-    EXPECT_EQ(reference.host_remote_latency(h).Sum(),
-              sharded.host_remote_latency(h).Sum());
-    EXPECT_EQ(reference.host_remote_latency(h).Percentile(0.99),
-              sharded.host_remote_latency(h).Percentile(0.99));
   }
-  // Vacuous-equality guard: the run must have done real remote work.
-  EXPECT_GT(sharded.Stats().fabric_ops, 0u);
   // No mirrors at shards=1: the cross-shard path must not exist.
-  EXPECT_EQ(sharded.Stats().totals.Get(counter::kCrossShardSent), 0u);
+  EXPECT_EQ(stats.totals.Get(counter::kCrossShardSent), 0u);
 }
 
 // --- shards>1 determinism ----------------------------------------------------
@@ -479,7 +480,11 @@ TEST(ShardedCluster, RejectsTraceRecording) {
   ShardedClusterConfig config;
   config.base = SmallCluster(2, 2);
   config.base.trace.enabled = true;
+  config.shards = 2;
   EXPECT_THROW(ShardedCluster{config}, std::invalid_argument);
+  config.shards = 1;
+  ShardedCluster traced(config);
+  EXPECT_NE(traced.trace(), nullptr);
 }
 
 TEST(ShardedCluster, RunIsOneShot) {

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "src/runtime/app_runner.h"
-#include "src/runtime/cluster.h"
+#include "src/runtime/sharded_cluster.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/presets.h"
 #include "src/sim/event_queue.h"
@@ -285,7 +285,7 @@ TEST(TieredCluster, TierOccupancyAndCountersSurface) {
   config.host.tier.promote_threshold = 2;
   config.host.tier.decay_every_ticks = 0;
   config.seed = 7;
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
 
   std::vector<std::unique_ptr<AccessStream>> streams;
   std::vector<ClusterAppSpec> specs;
@@ -323,7 +323,7 @@ TEST(TieredCluster, UntieredClusterReportsNoTierPages) {
   config.nodes = 1;
   config.host = LeapVmmConfig(1024, /*seed=*/42);
   config.seed = 7;
-  Cluster cluster(config);
+  ShardedCluster cluster({config});
   const Pid pid = cluster.host(0).CreateProcess(512);
   WarmUp(cluster.host(0), pid, 1024);
   const ClusterStats stats = cluster.Stats();
