@@ -6,14 +6,23 @@
 #ifndef LEAP_BENCH_BENCH_UTIL_H_
 #define LEAP_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/runtime/app_runner.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/presets.h"
+#include "src/runtime/sharded_cluster.h"
+#include "src/stats/json_writer.h"
 #include "src/workload/app_models.h"
+#include "src/workload/cluster_mix.h"
 #include "src/workload/patterns.h"
 
 namespace leap {
@@ -100,18 +109,172 @@ struct BenchRunInfo {
 };
 
 // Standard preamble, emitted right after the opening "mode" key.
-inline void WriteSchemaPreamble(FILE* f, const BenchRunInfo& info) {
-  std::fprintf(f, "  \"schema_version\": %d,\n", kBenchSchemaVersion);
-  std::fprintf(f, "  \"bench\": \"%s\",\n", info.bench);
-  std::fprintf(f,
-               "  \"run_config\": {\"seed\": %llu, \"hosts\": %zu, "
-               "\"nodes\": %zu, \"scheduler\": \"%s\", \"placer\": \"%s\"},\n",
-               static_cast<unsigned long long>(info.seed), info.hosts,
-               info.nodes, info.scheduler, info.placer);
+inline void WriteSchemaPreamble(JsonWriter& json, const BenchRunInfo& info) {
+  json.Field("schema_version", kBenchSchemaVersion)
+      .Field("bench", info.bench)
+      .Key("run_config")
+      .BeginObject(JsonWriter::kInline)
+      .Field("seed", info.seed)
+      .Field("hosts", info.hosts)
+      .Field("nodes", info.nodes)
+      .Field("scheduler", info.scheduler)
+      .Field("placer", info.placer)
+      .End();
+}
+
+// Writes one output file through `body(std::ostream&)` and reports the
+// outcome: "wrote <path>" on stdout, or "cannot write <path>" on stderr and
+// false when the file could not be opened or written.
+template <typename Body>
+bool WriteOutputFile(const std::string& path, Body&& body) {
+  std::ofstream out(path);
+  if (out) {
+    body(out);
+  }
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
+
+// --- cluster-mix run ------------------------------------------------------
+// The fig13 workload mix (zipf / sequential / trace, by host index) on every
+// host of a cluster: one process per host at half its footprint, warmed up
+// host after host, then all hosts run `accesses_per_host` accesses from a
+// common start 10 ms after the last warm-up.
+struct ClusterMixApps {
+  std::vector<std::unique_ptr<AccessStream>> streams;
+  std::vector<ClusterAppSpec> specs;  // ready for ShardedCluster::Run
+  SimTimeNs warm_end = 0;
+  SimTimeNs run_start = 0;
+};
+
+inline ClusterMixApps WarmClusterMix(ShardedCluster& cluster,
+                                     size_t footprint_pages,
+                                     size_t accesses_per_host) {
+  ClusterMixApps apps;
+  std::vector<Pid> pids;
+  for (size_t h = 0; h < cluster.num_hosts(); ++h) {
+    const Pid pid = cluster.host(h).CreateProcess(footprint_pages / 2);
+    pids.push_back(pid);
+    apps.warm_end =
+        WarmUp(cluster.host(h), pid, footprint_pages, apps.warm_end);
+    apps.streams.push_back(MakeClusterMixStream(h, footprint_pages));
+  }
+  apps.run_start = apps.warm_end + 10 * kNsPerMs;
+  for (size_t h = 0; h < cluster.num_hosts(); ++h) {
+    RunConfig run;
+    run.total_accesses = accesses_per_host;
+    run.start_time_ns = apps.run_start;
+    run.seed = 100 + h;
+    apps.specs.push_back({h, pids[h], apps.streams[h].get(), run});
+  }
+  return apps;
+}
+
+struct ClusterMixResult {
+  uint64_t p50_remote_ns = 0;  // over every host's remote-access histogram
+  uint64_t p99_remote_ns = 0;
+  SimTimeNs max_completion_ns = 0;
+  double agg_accesses_per_sim_sec = 0.0;
+  double run_wall_ms = 0.0;  // wall time of ShardedCluster::Run alone
+  ClusterStats stats;        // at the end of the run
+};
+
+inline ClusterMixResult RunClusterMix(ShardedCluster& cluster,
+                                      size_t footprint_pages,
+                                      size_t accesses_per_host) {
+  ClusterMixApps apps =
+      WarmClusterMix(cluster, footprint_pages, accesses_per_host);
+  const auto wall_start = std::chrono::steady_clock::now();
+  const auto results = cluster.Run(std::move(apps.specs));
+  const auto wall_end = std::chrono::steady_clock::now();
+
+  ClusterMixResult out;
+  out.run_wall_ms =
+      std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
+  Histogram merged;
+  uint64_t total_accesses = 0;
+  for (size_t h = 0; h < results.size(); ++h) {
+    merged.Merge(cluster.host_remote_latency(h));
+    total_accesses += results[h].accesses;
+    out.max_completion_ns =
+        std::max(out.max_completion_ns, results[h].completion_ns);
+  }
+  out.p50_remote_ns = merged.Percentile(0.5);
+  out.p99_remote_ns = merged.Percentile(0.99);
+  out.agg_accesses_per_sim_sec =
+      out.max_completion_ns == 0
+          ? 0.0
+          : static_cast<double>(total_accesses) / ToSec(out.max_completion_ns);
+  out.stats = cluster.Stats();
+  return out;
+}
+
+// The resilience counters fig13 and fig16 report, written into the
+// currently open JSON object.
+inline void WriteResilienceCounters(JsonWriter& json, const Counters& totals) {
+  json.Field("read_retries", totals.Get(counter::kReadRetries))
+      .Field("deadline_misses", totals.Get(counter::kReadDeadlineMisses))
+      .Field("hedged_reads", totals.Get(counter::kHedgedReads))
+      .Field("hedge_wins", totals.Get(counter::kHedgeWins))
+      .Field("reads_rerouted", totals.Get(counter::kReadsRerouted))
+      .Field("gray_transitions", totals.Get(counter::kGrayTransitions));
+}
+
+// The names of the MakeClusterMixStream workloads, as "workload_mix".
+inline void WriteClusterMixNames(JsonWriter& json) {
+  json.Key("workload_mix")
+      .BeginArray(JsonWriter::kInline)
+      .Value("zipf-0.99")
+      .Value("sequential")
+      .Value("trace(stride-8)")
+      .End();
+}
+
+// The "geometry" object of the cluster benches whose geometry is hosts x
+// nodes with a per-host footprint, access count and slab size.
+template <typename Geometry>
+void WriteClusterGeometry(JsonWriter& json, const Geometry& geo) {
+  json.Key("geometry")
+      .BeginObject(JsonWriter::kInline)
+      .Field("hosts", geo.hosts)
+      .Field("nodes", geo.nodes)
+      .Field("footprint_pages", geo.footprint_pages)
+      .Field("accesses_per_host", geo.accesses_per_host)
+      .Field("slab_pages", geo.slab_pages)
+      .End();
+}
+
+// Writes the headline run's flight-recorder export and time series to
+// whichever of the two paths is non-empty. An output file that cannot be
+// written ends the bench with exit status 1.
+inline void WriteObservability(const ShardedCluster& cluster,
+                               const std::string& trace_path,
+                               const std::string& timeseries_path) {
+  if (!trace_path.empty() && cluster.trace() != nullptr) {
+    if (!WriteOutputFile(trace_path, [&](std::ostream& out) {
+          cluster.trace()->ExportChromeTrace(out);
+        })) {
+      std::exit(1);
+    }
+    std::printf("  %zu events buffered, %llu dropped\n",
+                cluster.trace()->size(),
+                static_cast<unsigned long long>(cluster.trace()->dropped()));
+  }
+  if (!timeseries_path.empty() &&
+      !WriteOutputFile(timeseries_path, [&](std::ostream& out) {
+        WriteJsonl(cluster.samples(), out);
+      })) {
+    std::exit(1);
+  }
 }
 
 // --- command line --------------------------------------------------------
-// Shared flag vocabulary for the cluster benches:
+// Shared flag vocabulary for the benches:
 //   --smoke               tiny CI configuration
 //   --trace[=path]        flight-record the headline variant and export
 //                         chrome://tracing JSON (default <out>.trace.json)
@@ -127,8 +290,13 @@ struct BenchArgs {
   std::string timeseries_path;
 };
 
-inline BenchArgs ParseBenchArgs(int argc, char** argv,
-                                const char* default_json) {
+// Any other argument starting with '-' is an error: the parser prints
+// "usage: <argv[0]> <usage>" to stderr and returns nullopt (the bench then
+// exits 2), so a mistyped flag can neither run the wrong configuration nor
+// become the output path.
+inline std::optional<BenchArgs> ParseBenchArgs(int argc, char** argv,
+                                               const char* default_json,
+                                               const char* usage) {
   BenchArgs args;
   args.json_path = default_json;
   for (int i = 1; i < argc; ++i) {
@@ -145,6 +313,10 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv,
     } else if (arg.rfind("--timeseries=", 0) == 0) {
       args.timeseries = true;
       args.timeseries_path = arg.substr(13);
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      std::fprintf(stderr, "unknown option %s\nusage: %s %s\n", arg.c_str(),
+                   argv[0], usage);
+      return std::nullopt;
     } else {
       args.json_path = arg;
     }

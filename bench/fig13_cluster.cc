@@ -15,14 +15,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/runtime/sharded_cluster.h"
 #include "src/stats/table.h"
-#include "src/workload/cluster_mix.h"
 
 namespace leap {
 namespace {
@@ -56,155 +54,80 @@ ClusterConfig MakeConfig(const BenchGeometry& geo, size_t hosts,
   return config;
 }
 
+// The resilience counters in mix.stats.totals are all zero in this
+// fault-free bench (the invariant the determinism tests pin down), nonzero
+// only if mitigation ever fires.
 struct ScaleResult {
   size_t hosts = 0;
-  uint64_t p50_remote_ns = 0;
-  uint64_t p99_remote_ns = 0;
-  double fabric_queue_delay_mean_ns = 0.0;
-  uint64_t fabric_ops = 0;
-  size_t slab_imbalance = 0;
-  uint64_t capacity_exhausted = 0;
-  double agg_accesses_per_sim_sec = 0.0;
-  uint64_t total_remote_reads = 0;  // determinism fingerprint
-  SimTimeNs max_completion_ns = 0;
-  // Resilience counters: all zero in this fault-free bench (the invariant
-  // the determinism tests pin down), nonzero only if mitigation ever fires.
-  uint64_t read_retries = 0;
-  uint64_t deadline_misses = 0;
-  uint64_t hedged_reads = 0;
-  uint64_t hedge_wins = 0;
-  uint64_t reads_rerouted = 0;
-  uint64_t gray_transitions = 0;
+  bench::ClusterMixResult mix;
 };
 
 ScaleResult RunScale(const BenchGeometry& geo, size_t hosts,
                      PlacementPolicy placement, std::ostream* dump = nullptr) {
   ShardedCluster cluster({MakeConfig(geo, hosts, placement)});
-  std::vector<std::unique_ptr<AccessStream>> streams;
-  std::vector<ClusterAppSpec> specs;
-  std::vector<Pid> pids;
-  SimTimeNs warm_end = 0;
-  for (size_t h = 0; h < hosts; ++h) {
-    const Pid pid =
-        cluster.host(h).CreateProcess(geo.footprint_pages / 2);
-    pids.push_back(pid);
-    warm_end = WarmUp(cluster.host(h), pid, geo.footprint_pages, warm_end);
-    streams.push_back(MakeClusterMixStream(h, geo.footprint_pages));
-  }
-  for (size_t h = 0; h < hosts; ++h) {
-    RunConfig run;
-    run.total_accesses = geo.accesses_per_host;
-    run.start_time_ns = warm_end + 10 * kNsPerMs;
-    run.seed = 100 + h;
-    specs.push_back({h, pids[h], streams[h].get(), run});
-  }
-  const auto results = cluster.Run(std::move(specs));
-
   ScaleResult out;
   out.hosts = hosts;
-  Histogram merged;
-  uint64_t total_accesses = 0;
-  for (size_t h = 0; h < hosts; ++h) {
-    merged.Merge(cluster.host_remote_latency(h));
-    total_accesses += results[h].accesses;
-    out.max_completion_ns =
-        std::max(out.max_completion_ns, results[h].completion_ns);
-  }
-  out.p50_remote_ns = merged.Percentile(0.5);
-  out.p99_remote_ns = merged.Percentile(0.99);
-  const ClusterStats stats = cluster.Stats();
-  out.fabric_queue_delay_mean_ns = stats.fabric_queue_delay_mean_ns;
-  out.fabric_ops = stats.fabric_ops;
-  out.slab_imbalance = stats.SlabImbalance();
-  out.capacity_exhausted =
-      stats.totals.Get(counter::kRemoteCapacityExhausted);
-  out.total_remote_reads = stats.totals.Get(counter::kRemoteReads);
-  out.read_retries = stats.totals.Get(counter::kReadRetries);
-  out.deadline_misses = stats.totals.Get(counter::kReadDeadlineMisses);
-  out.hedged_reads = stats.totals.Get(counter::kHedgedReads);
-  out.hedge_wins = stats.totals.Get(counter::kHedgeWins);
-  out.reads_rerouted = stats.totals.Get(counter::kReadsRerouted);
-  out.gray_transitions = stats.totals.Get(counter::kGrayTransitions);
-  out.agg_accesses_per_sim_sec =
-      out.max_completion_ns == 0
-          ? 0.0
-          : static_cast<double>(total_accesses) / ToSec(out.max_completion_ns);
+  out.mix = bench::RunClusterMix(cluster, geo.footprint_pages,
+                                 geo.accesses_per_host);
   if (dump != nullptr) {
     cluster.DumpStats(*dump);
   }
   return out;
 }
 
-size_t ImbalanceWith(const BenchGeometry& geo, size_t hosts,
-                     PlacementPolicy placement) {
-  return RunScale(geo, hosts, placement).slab_imbalance;
-}
-
-void WriteJson(const char* path, const BenchGeometry& geo,
+bool WriteJson(const std::string& path, const BenchGeometry& geo,
                const std::vector<ScaleResult>& scales, size_t ff_imbalance,
                size_t po2_imbalance, size_t striped_imbalance, bool smoke,
                bool include_placement) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  bench::WriteSchemaPreamble(
-      f, {"fig13_cluster", /*seed=*/91, geo.host_scales.back(), geo.nodes,
-          "fifo", PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
-  std::fprintf(f,
-               "  \"geometry\": {\"nodes\": %zu, \"footprint_pages\": %zu, "
-               "\"accesses_per_host\": %zu, \"slab_pages\": %zu},\n",
-               geo.nodes, geo.footprint_pages, geo.accesses_per_host,
-               geo.slab_pages);
-  std::fprintf(f, "  \"workload_mix\": [\"zipf-0.99\", \"sequential\", "
-                  "\"trace(stride-8)\"],\n");
-  std::fprintf(f, "  \"scales\": [\n");
-  for (size_t i = 0; i < scales.size(); ++i) {
-    const ScaleResult& s = scales[i];
-    std::fprintf(
-        f,
-        "    {\"hosts\": %zu, \"p50_remote_ns\": %llu, \"p99_remote_ns\": "
-        "%llu, \"fabric_queue_delay_mean_ns\": %.1f, \"fabric_ops\": %llu, "
-        "\"slab_imbalance\": %zu, \"capacity_exhausted\": %llu, "
-        "\"agg_accesses_per_sim_sec\": %.0f, \"remote_reads\": %llu, "
-        "\"max_completion_ns\": %llu, "
-        "\"resilience\": {\"read_retries\": %llu, \"deadline_misses\": %llu, "
-        "\"hedged_reads\": %llu, \"hedge_wins\": %llu, "
-        "\"reads_rerouted\": %llu, \"gray_transitions\": %llu}}%s\n",
-        s.hosts, static_cast<unsigned long long>(s.p50_remote_ns),
-        static_cast<unsigned long long>(s.p99_remote_ns),
-        s.fabric_queue_delay_mean_ns,
-        static_cast<unsigned long long>(s.fabric_ops), s.slab_imbalance,
-        static_cast<unsigned long long>(s.capacity_exhausted),
-        s.agg_accesses_per_sim_sec,
-        static_cast<unsigned long long>(s.total_remote_reads),
-        static_cast<unsigned long long>(s.max_completion_ns),
-        static_cast<unsigned long long>(s.read_retries),
-        static_cast<unsigned long long>(s.deadline_misses),
-        static_cast<unsigned long long>(s.hedged_reads),
-        static_cast<unsigned long long>(s.hedge_wins),
-        static_cast<unsigned long long>(s.reads_rerouted),
-        static_cast<unsigned long long>(s.gray_transitions),
-        i + 1 < scales.size() ? "," : "");
-  }
-  if (include_placement) {
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"placement_imbalance_at_4_hosts\": {\"first_fit\": %zu, "
-                 "\"power_of_two\": %zu, \"striped\": %zu}\n",
-                 ff_imbalance, po2_imbalance, striped_imbalance);
-  } else {
-    std::fprintf(f, "  ]\n");
-  }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  return bench::WriteOutputFile(path, [&](std::ostream& out) {
+    JsonWriter json(out);
+    json.BeginObject().Field("mode", smoke ? "smoke" : "full");
+    bench::WriteSchemaPreamble(
+        json, {"fig13_cluster", /*seed=*/91, geo.host_scales.back(),
+               geo.nodes, "fifo",
+               PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
+    json.Key("geometry")
+        .BeginObject(JsonWriter::kInline)
+        .Field("nodes", geo.nodes)
+        .Field("footprint_pages", geo.footprint_pages)
+        .Field("accesses_per_host", geo.accesses_per_host)
+        .Field("slab_pages", geo.slab_pages)
+        .End();
+    bench::WriteClusterMixNames(json);
+    json.Key("scales").BeginArray();
+    for (const ScaleResult& s : scales) {
+      const ClusterStats& st = s.mix.stats;
+      json.BeginObject(JsonWriter::kInline)
+          .Field("hosts", s.hosts)
+          .Field("p50_remote_ns", s.mix.p50_remote_ns)
+          .Field("p99_remote_ns", s.mix.p99_remote_ns)
+          .Field("fabric_queue_delay_mean_ns", st.fabric_queue_delay_mean_ns, 1)
+          .Field("fabric_ops", st.fabric_ops)
+          .Field("slab_imbalance", st.SlabImbalance())
+          .Field("capacity_exhausted",
+                 st.totals.Get(counter::kRemoteCapacityExhausted))
+          .Field("agg_accesses_per_sim_sec", s.mix.agg_accesses_per_sim_sec, 0)
+          .Field("remote_reads", st.totals.Get(counter::kRemoteReads))
+          .Field("max_completion_ns", s.mix.max_completion_ns)
+          .Key("resilience")
+          .BeginObject();
+      bench::WriteResilienceCounters(json, st.totals);
+      json.End().End();
+    }
+    json.End();
+    if (include_placement) {
+      json.Key("placement_imbalance_at_4_hosts")
+          .BeginObject(JsonWriter::kInline)
+          .Field("first_fit", ff_imbalance)
+          .Field("power_of_two", po2_imbalance)
+          .Field("striped", striped_imbalance)
+          .End();
+    }
+    json.End();
+  });
 }
 
-void Run(bool smoke, size_t hosts_override, const char* json_path) {
+bool Run(bool smoke, size_t hosts_override, const std::string& json_path) {
   BenchGeometry geo = smoke ? SmokeGeometry() : FullGeometry();
   if (hosts_override > 0) {
     // Single-point probe: one scale, no placement-policy comparison.
@@ -230,12 +153,12 @@ void Run(bool smoke, size_t hosts_override, const char* json_path) {
     const ScaleResult& s = scales.back();
     char p50[32], p99[32], qd[32], thr[32], imb[32], hs[32];
     std::snprintf(hs, sizeof(hs), "%zu", s.hosts);
-    std::snprintf(p50, sizeof(p50), "%.2f", ToUs(s.p50_remote_ns));
-    std::snprintf(p99, sizeof(p99), "%.2f", ToUs(s.p99_remote_ns));
+    std::snprintf(p50, sizeof(p50), "%.2f", ToUs(s.mix.p50_remote_ns));
+    std::snprintf(p99, sizeof(p99), "%.2f", ToUs(s.mix.p99_remote_ns));
     std::snprintf(qd, sizeof(qd), "%.2f",
-                  s.fabric_queue_delay_mean_ns / 1000.0);
-    std::snprintf(thr, sizeof(thr), "%.0f", s.agg_accesses_per_sim_sec);
-    std::snprintf(imb, sizeof(imb), "%zu", s.slab_imbalance);
+                  s.mix.stats.fabric_queue_delay_mean_ns / 1000.0);
+    std::snprintf(thr, sizeof(thr), "%.0f", s.mix.agg_accesses_per_sim_sec);
+    std::snprintf(imb, sizeof(imb), "%zu", s.mix.stats.SlabImbalance());
     table.AddRow({hs, p50, p99, qd, thr, imb});
   }
   std::printf("%s\n", table.Render().c_str());
@@ -250,47 +173,51 @@ void Run(bool smoke, size_t hosts_override, const char* json_path) {
     const size_t compare_hosts = 4;
     for (const ScaleResult& s : scales) {
       if (s.hosts == compare_hosts) {
-        po2 = s.slab_imbalance;
+        po2 = s.mix.stats.SlabImbalance();
       }
     }
-    ff = ImbalanceWith(geo, compare_hosts, PlacementPolicy::kFirstFit);
-    striped = ImbalanceWith(geo, compare_hosts, PlacementPolicy::kStriped);
+    ff = RunScale(geo, compare_hosts, PlacementPolicy::kFirstFit)
+             .mix.stats.SlabImbalance();
+    striped = RunScale(geo, compare_hosts, PlacementPolicy::kStriped)
+                  .mix.stats.SlabImbalance();
     std::printf("slab imbalance @ %zu hosts: first-fit %zu, "
                 "power-of-two-choices %zu, striped %zu\n\n",
                 compare_hosts, ff, po2, striped);
   }
 
-  WriteJson(json_path, geo, scales, ff, po2, striped, smoke,
-            include_placement);
+  return WriteJson(json_path, geo, scales, ff, po2, striped, smoke,
+                   include_placement);
 }
 
 }  // namespace
 }  // namespace leap
 
 int main(int argc, char** argv) {
-  bool smoke = false;
+  // --hosts N / --hosts=N is fig13's own flag; everything else goes
+  // through the shared parser.
+  const char* usage = "[--smoke] [--hosts N] [output.json]";
   size_t hosts_override = 0;
-  const char* json_path = "BENCH_cluster.json";
+  std::vector<char*> rest = {argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
-      hosts_override = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
-      if (hosts_override == 0) {
-        std::fprintf(stderr, "--hosts requires a positive integer\n");
-        return 1;
-      }
+    const char* value = nullptr;
+    if (std::strcmp(argv[i], "--hosts") == 0 && i + 1 < argc) {
+      value = argv[++i];
     } else if (std::strncmp(argv[i], "--hosts=", 8) == 0) {
-      hosts_override =
-          static_cast<size_t>(std::strtoul(argv[i] + 8, nullptr, 10));
-      if (hosts_override == 0) {
-        std::fprintf(stderr, "--hosts requires a positive integer\n");
-        return 1;
-      }
+      value = argv[i] + 8;
     } else {
-      json_path = argv[i];
+      rest.push_back(argv[i]);
+      continue;
+    }
+    hosts_override = static_cast<size_t>(std::strtoul(value, nullptr, 10));
+    if (hosts_override == 0) {
+      std::fprintf(stderr, "--hosts requires a positive integer\n");
+      return 1;
     }
   }
-  leap::Run(smoke, hosts_override, json_path);
-  return 0;
+  const auto args = leap::bench::ParseBenchArgs(
+      static_cast<int>(rest.size()), rest.data(), "BENCH_cluster.json", usage);
+  if (!args) {
+    return 2;
+  }
+  return leap::Run(args->smoke, hosts_override, args->json_path) ? 0 : 1;
 }

@@ -24,8 +24,6 @@
 //                 windowed p99 to JSONL (default BENCH_qos.timeseries.jsonl)
 //   output        results JSON (default BENCH_qos.json)
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -173,12 +171,7 @@ QosResult RunOnce(const BenchGeometry& geo, LinkSchedulerKind sched,
     }
   }
   out.fabric_qdelay_mean_ns = stats.fabric_queue_delay_mean_ns;
-  if (!timeseries_path.empty()) {
-    std::ofstream ts(timeseries_path);
-    WriteJsonl(cluster.samples(), ts);
-    std::printf("wrote %s (%zu samples)\n", timeseries_path.c_str(),
-                cluster.samples().size());
-  }
+  bench::WriteObservability(cluster, "", timeseries_path);
   if (dump != nullptr) {
     cluster.DumpStats(*dump);
   }
@@ -199,101 +192,87 @@ void PrintRow(TextTable& table, const QosResult& r) {
                 p50, p99, ap99, waste, dq, pq, apf});
 }
 
-void EmitResult(FILE* f, const char* key, const QosResult& r,
-                const char* trailing) {
-  std::fprintf(
-      f,
-      "  \"%s\": {\"scheduler\": \"%s\", \"governor\": \"%s\", "
-      "\"victim_demand_p50_ns\": %llu, \"victim_demand_p99_ns\": %llu, "
-      "\"antagonist_demand_p99_ns\": %llu, \"wasted_prefetch_ratio\": %.4f, "
-      "\"demand_qdelay_mean_ns\": %.1f, \"prefetch_qdelay_mean_ns\": %.1f, "
-      "\"downlink_demand_ops\": %llu, \"downlink_prefetch_ops\": %llu, "
-      "\"remote_reads\": %llu, \"max_completion_ns\": %llu, "
-      "\"prefetch_unused\": %llu, \"prefetch_hits\": %llu, "
-      "\"antagonist_pf_per_miss\": %.2f, \"victim_pf_per_miss\": %.2f, "
-      "\"governor_shrink_events\": %llu, "
-      "\"fabric_qdelay_mean_ns\": %.1f}%s\n",
-      key, LinkSchedulerKindName(r.sched), r.governed ? "on" : "off",
-      static_cast<unsigned long long>(r.victim_demand_p50_ns),
-      static_cast<unsigned long long>(r.victim_demand_p99_ns),
-      static_cast<unsigned long long>(r.antagonist_demand_p99_ns),
-      r.wasted_ratio, r.demand_qdelay_mean_ns, r.prefetch_qdelay_mean_ns,
-      static_cast<unsigned long long>(r.downlink_demand_ops),
-      static_cast<unsigned long long>(r.downlink_prefetch_ops),
-      static_cast<unsigned long long>(r.total_remote_reads),
-      static_cast<unsigned long long>(r.max_completion_ns),
-      static_cast<unsigned long long>(r.prefetch_unused),
-      static_cast<unsigned long long>(r.prefetch_hits),
-      r.antagonist_pf_per_miss, r.victim_pf_per_miss,
-      static_cast<unsigned long long>(r.shrink_events),
-      r.fabric_qdelay_mean_ns, trailing);
-}
-
-void WriteJson(const char* path, const BenchGeometry& geo,
+bool WriteJson(const std::string& path, const BenchGeometry& geo,
                const std::vector<QosResult>& rows, bool smoke) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  bench::WriteSchemaPreamble(
-      f, {"fig15_qos", /*seed=*/91, geo.hosts, geo.nodes,
-          "fifo|demand_priority|drr",
-          PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
-  std::fprintf(f,
-               "  \"geometry\": {\"hosts\": %zu, \"nodes\": %zu, "
-               "\"footprint_pages\": %zu, \"accesses_per_host\": %zu, "
-               "\"slab_pages\": %zu},\n",
-               geo.hosts, geo.nodes, geo.footprint_pages,
-               geo.accesses_per_host, geo.slab_pages);
-  std::fprintf(f,
-               "  \"workloads\": {\"antagonist\": \"zipf-0.99 storm "
-               "(host 0)\", \"victims\": \"sequential (hosts 1..%zu)\", "
-               "\"policy\": \"next-8-line\"},\n",
-               geo.hosts - 1);
-  char key[64];
-  for (const QosResult& r : rows) {
-    std::snprintf(key, sizeof(key), "%s_governor_%s",
-                  LinkSchedulerKindName(r.sched),
-                  r.governed ? "on" : "off");
-    EmitResult(f, key, r, ",");
-  }
-  // Headline: victim p99 speedup of each scheduler vs FIFO, governor off
-  // (pure link-QoS effect) and on (stacked).
-  auto find = [&rows](LinkSchedulerKind sched, bool gov) -> const QosResult& {
+  return bench::WriteOutputFile(path, [&](std::ostream& out) {
+    JsonWriter json(out);
+    json.BeginObject().Field("mode", smoke ? "smoke" : "full");
+    bench::WriteSchemaPreamble(
+        json, {"fig15_qos", /*seed=*/91, geo.hosts, geo.nodes,
+               "fifo|demand_priority|drr",
+               PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
+    bench::WriteClusterGeometry(json, geo);
+    const std::string victims =
+        "sequential (hosts 1.." + std::to_string(geo.hosts - 1) + ")";
+    json.Key("workloads")
+        .BeginObject(JsonWriter::kInline)
+        .Field("antagonist", "zipf-0.99 storm (host 0)")
+        .Field("victims", victims)
+        .Field("policy", "next-8-line")
+        .End();
     for (const QosResult& r : rows) {
-      if (r.sched == sched && r.governed == gov) {
-        return r;
-      }
+      const char* governor = r.governed ? "on" : "off";
+      json.Key(std::string(LinkSchedulerKindName(r.sched)) + "_governor_" +
+               governor)
+          .BeginObject(JsonWriter::kInline)
+          .Field("scheduler", LinkSchedulerKindName(r.sched))
+          .Field("governor", governor)
+          .Field("victim_demand_p50_ns", r.victim_demand_p50_ns)
+          .Field("victim_demand_p99_ns", r.victim_demand_p99_ns)
+          .Field("antagonist_demand_p99_ns", r.antagonist_demand_p99_ns)
+          .Field("wasted_prefetch_ratio", r.wasted_ratio, 4)
+          .Field("demand_qdelay_mean_ns", r.demand_qdelay_mean_ns, 1)
+          .Field("prefetch_qdelay_mean_ns", r.prefetch_qdelay_mean_ns, 1)
+          .Field("downlink_demand_ops", r.downlink_demand_ops)
+          .Field("downlink_prefetch_ops", r.downlink_prefetch_ops)
+          .Field("remote_reads", r.total_remote_reads)
+          .Field("max_completion_ns", r.max_completion_ns)
+          .Field("prefetch_unused", r.prefetch_unused)
+          .Field("prefetch_hits", r.prefetch_hits)
+          .Field("antagonist_pf_per_miss", r.antagonist_pf_per_miss, 2)
+          .Field("victim_pf_per_miss", r.victim_pf_per_miss, 2)
+          .Field("governor_shrink_events", r.shrink_events)
+          .Field("fabric_qdelay_mean_ns", r.fabric_qdelay_mean_ns, 1)
+          .End();
     }
-    return rows.front();
-  };
-  auto speedup = [](const QosResult& base, const QosResult& r) {
-    return r.victim_demand_p99_ns == 0
-               ? 0.0
-               : static_cast<double>(base.victim_demand_p99_ns) /
-                     static_cast<double>(r.victim_demand_p99_ns);
-  };
-  const QosResult& fifo_off = find(LinkSchedulerKind::kFifo, false);
-  const QosResult& fifo_on = find(LinkSchedulerKind::kFifo, true);
-  std::fprintf(
-      f,
-      "  \"improvement\": {\"priority_victim_p99_speedup_vs_fifo\": %.3f, "
-      "\"drr_victim_p99_speedup_vs_fifo\": %.3f, "
-      "\"priority_gov_victim_p99_speedup_vs_fifo_gov\": %.3f, "
-      "\"drr_gov_victim_p99_speedup_vs_fifo_gov\": %.3f}\n",
-      speedup(fifo_off, find(LinkSchedulerKind::kDemandPriority, false)),
-      speedup(fifo_off, find(LinkSchedulerKind::kDrr, false)),
-      speedup(fifo_on, find(LinkSchedulerKind::kDemandPriority, true)),
-      speedup(fifo_on, find(LinkSchedulerKind::kDrr, true)));
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+    // Headline: victim p99 speedup of each scheduler vs FIFO, governor off
+    // (pure link-QoS effect) and on (stacked).
+    auto find = [&rows](LinkSchedulerKind sched,
+                        bool gov) -> const QosResult& {
+      for (const QosResult& r : rows) {
+        if (r.sched == sched && r.governed == gov) {
+          return r;
+        }
+      }
+      return rows.front();
+    };
+    auto speedup = [](const QosResult& base, const QosResult& r) {
+      return r.victim_demand_p99_ns == 0
+                 ? 0.0
+                 : static_cast<double>(base.victim_demand_p99_ns) /
+                       static_cast<double>(r.victim_demand_p99_ns);
+    };
+    const QosResult& fifo_off = find(LinkSchedulerKind::kFifo, false);
+    const QosResult& fifo_on = find(LinkSchedulerKind::kFifo, true);
+    json.Key("improvement")
+        .BeginObject(JsonWriter::kInline)
+        .Field("priority_victim_p99_speedup_vs_fifo",
+               speedup(fifo_off,
+                       find(LinkSchedulerKind::kDemandPriority, false)),
+               3)
+        .Field("drr_victim_p99_speedup_vs_fifo",
+               speedup(fifo_off, find(LinkSchedulerKind::kDrr, false)), 3)
+        .Field("priority_gov_victim_p99_speedup_vs_fifo_gov",
+               speedup(fifo_on, find(LinkSchedulerKind::kDemandPriority, true)),
+               3)
+        .Field("drr_gov_victim_p99_speedup_vs_fifo_gov",
+               speedup(fifo_on, find(LinkSchedulerKind::kDrr, true)), 3)
+        .End();
+    json.End();
+  });
 }
 
-void Run(const bench::BenchArgs& args) {
+bool Run(const bench::BenchArgs& args) {
   const BenchGeometry geo = args.smoke ? SmokeGeometry() : FullGeometry();
   bench::PrintHeader(
       "Figure 15 (extension): per-link fabric QoS vs an antagonist storm",
@@ -333,13 +312,18 @@ void Run(const bench::BenchArgs& args) {
       ToUs(rows[0].victim_demand_p99_ns), ToUs(rows[2].victim_demand_p99_ns),
       ToUs(rows[4].victim_demand_p99_ns));
 
-  WriteJson(args.json_path.c_str(), geo, rows, args.smoke);
+  return WriteJson(args.json_path, geo, rows, args.smoke);
 }
 
 }  // namespace
 }  // namespace leap
 
 int main(int argc, char** argv) {
-  leap::Run(leap::bench::ParseBenchArgs(argc, argv, "BENCH_qos.json"));
-  return 0;
+  const auto args = leap::bench::ParseBenchArgs(
+      argc, argv, "BENCH_qos.json",
+      "[--smoke] [--timeseries[=path]] [output.json]");
+  if (!args) {
+    return 2;
+  }
+  return leap::Run(*args) ? 0 : 1;
 }

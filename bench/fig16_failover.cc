@@ -37,8 +37,6 @@
 //   output        JSON (default BENCH_failover.json)
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -49,7 +47,6 @@
 #include "src/cluster/fault_injector.h"
 #include "src/runtime/sharded_cluster.h"
 #include "src/stats/table.h"
-#include "src/workload/cluster_mix.h"
 
 namespace leap {
 namespace {
@@ -171,36 +168,21 @@ VariantResult RunVariant(const BenchGeometry& geo, const std::string& name,
   ShardedCluster cluster({config});
   FaultInjector::Arm(cluster, plan);
 
-  std::vector<std::unique_ptr<AccessStream>> streams;
-  std::vector<ClusterAppSpec> specs;
-  std::vector<Pid> pids;
-  SimTimeNs warm_end = 0;
-  for (size_t h = 0; h < geo.hosts; ++h) {
-    const Pid pid = cluster.host(h).CreateProcess(geo.footprint_pages / 2);
-    pids.push_back(pid);
-    warm_end = WarmUp(cluster.host(h), pid, geo.footprint_pages, warm_end);
-    streams.push_back(MakeClusterMixStream(h, geo.footprint_pages));
-  }
+  bench::ClusterMixApps apps = bench::WarmClusterMix(
+      cluster, geo.footprint_pages, geo.accesses_per_host);
   VariantResult out;
   out.name = name;
-  out.run_start_ns = warm_end + 10 * kNsPerMs;
+  out.run_start_ns = apps.run_start;
   const auto probe_tag = [](SwapSlot slot) { return slot * 2654435761u + 1; };
   if (tag_slots > 0) {
     HostAgent* agent = cluster.host(0).host_agent();
     Rng tag_rng(7);
     for (SwapSlot slot = 0; slot < tag_slots; ++slot) {
-      agent->WriteTag(slot, probe_tag(slot), warm_end, tag_rng);
+      agent->WriteTag(slot, probe_tag(slot), apps.warm_end, tag_rng);
     }
     out.tags_written = tag_slots;
   }
-  for (size_t h = 0; h < geo.hosts; ++h) {
-    RunConfig run;
-    run.total_accesses = geo.accesses_per_host;
-    run.start_time_ns = out.run_start_ns;
-    run.seed = 100 + h;
-    specs.push_back({h, pids[h], streams[h].get(), run});
-  }
-  const auto results = cluster.Run(std::move(specs));
+  const auto results = cluster.Run(std::move(apps.specs));
 
   // Headline series: demand-miss latency (a faulting process blocked on
   // the read) - the metric mitigation targets. The all-remote-access
@@ -234,19 +216,7 @@ VariantResult RunVariant(const BenchGeometry& geo, const std::string& name,
       out.detection_delay_ns = first_gray - gray_inject_ns;
     }
   }
-  if (!obs.trace_path.empty() && cluster.trace() != nullptr) {
-    std::ofstream tf(obs.trace_path);
-    cluster.trace()->ExportChromeTrace(tf);
-    std::printf("wrote %s (%zu events buffered, %llu dropped)\n",
-                obs.trace_path.c_str(), cluster.trace()->size(),
-                static_cast<unsigned long long>(cluster.trace()->dropped()));
-  }
-  if (!obs.timeseries_path.empty()) {
-    std::ofstream ts(obs.timeseries_path);
-    WriteJsonl(cluster.samples(), ts);
-    std::printf("wrote %s (%zu samples)\n", obs.timeseries_path.c_str(),
-                cluster.samples().size());
-  }
+  bench::WriteObservability(cluster, obs.trace_path, obs.timeseries_path);
   if (obs.dump) {
     cluster.DumpStats(std::cout);
   }
@@ -290,98 +260,62 @@ CorrelatedResult RunCorrelated(const BenchGeometry& geo,
   return out;
 }
 
-void WriteResilienceJson(FILE* f, const Counters& totals) {
-  std::fprintf(
-      f,
-      "{\"read_retries\": %llu, \"deadline_misses\": %llu, "
-      "\"hedged_reads\": %llu, \"hedge_wins\": %llu, "
-      "\"reads_rerouted\": %llu, \"gray_transitions\": %llu, "
-      "\"gray_fault_events\": %llu, \"delay_spike_events\": %llu}",
-      static_cast<unsigned long long>(totals.Get(counter::kReadRetries)),
-      static_cast<unsigned long long>(
-          totals.Get(counter::kReadDeadlineMisses)),
-      static_cast<unsigned long long>(totals.Get(counter::kHedgedReads)),
-      static_cast<unsigned long long>(totals.Get(counter::kHedgeWins)),
-      static_cast<unsigned long long>(totals.Get(counter::kReadsRerouted)),
-      static_cast<unsigned long long>(totals.Get(counter::kGrayTransitions)),
-      static_cast<unsigned long long>(totals.Get(counter::kGrayFaultEvents)),
-      static_cast<unsigned long long>(
-          totals.Get(counter::kDelaySpikeEvents)));
-}
-
-void WriteJson(const char* path, const BenchGeometry& geo,
+bool WriteJson(const std::string& path, const BenchGeometry& geo,
                const std::vector<VariantResult>& variants,
                SimTimeNs gray_inject_ns, double improvement,
                const std::vector<CorrelatedResult>& correlated, bool smoke) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  bench::WriteSchemaPreamble(
-      f, {"fig16_failover", /*seed=*/91, geo.hosts, geo.nodes,
-          "demand_priority",
-          PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
-  std::fprintf(f,
-               "  \"geometry\": {\"hosts\": %zu, \"nodes\": %zu, "
-               "\"footprint_pages\": %zu, \"accesses_per_host\": %zu, "
-               "\"slab_pages\": %zu},\n",
-               geo.hosts, geo.nodes, geo.footprint_pages,
-               geo.accesses_per_host, geo.slab_pages);
-  std::fprintf(f,
-               "  \"gray_fault\": {\"node\": %u, \"stretch\": %.1f, "
-               "\"inject_ns\": %llu},\n",
-               kGrayNode, geo.gray_stretch,
-               static_cast<unsigned long long>(gray_inject_ns));
-  std::fprintf(f, "  \"variants\": [\n");
-  for (size_t i = 0; i < variants.size(); ++i) {
-    const VariantResult& v = variants[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"p50_remote_ns\": %llu, "
-        "\"p99_remote_ns\": %llu, \"detection_delay_ns\": %llu, "
-        "\"hedge_fabric_ops\": %llu, \"max_completion_ns\": %llu, "
-        "\"resilience\": ",
-        v.name.c_str(), static_cast<unsigned long long>(v.p50_remote_ns),
-        static_cast<unsigned long long>(v.p99_remote_ns),
-        static_cast<unsigned long long>(v.detection_delay_ns),
-        static_cast<unsigned long long>(v.hedge_ops),
-        static_cast<unsigned long long>(v.max_completion_ns));
-    WriteResilienceJson(f, v.totals);
-    std::fprintf(f, "}%s\n", i + 1 < variants.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"p99_improvement\": %.2f,\n", improvement);
-  std::fprintf(f, "  \"correlated_failures\": [\n");
-  for (size_t i = 0; i < correlated.size(); ++i) {
-    const CorrelatedResult& c = correlated[i];
-    std::fprintf(f, "    {\"group\": [");
-    for (size_t n = 0; n < c.group.size(); ++n) {
-      std::fprintf(f, "%u%s", c.group[n], n + 1 < c.group.size() ? ", " : "");
+  return bench::WriteOutputFile(path, [&](std::ostream& out) {
+    JsonWriter json(out);
+    json.BeginObject().Field("mode", smoke ? "smoke" : "full");
+    bench::WriteSchemaPreamble(
+        json, {"fig16_failover", /*seed=*/91, geo.hosts, geo.nodes,
+               "demand_priority",
+               PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
+    bench::WriteClusterGeometry(json, geo);
+    json.Key("gray_fault")
+        .BeginObject(JsonWriter::kInline)
+        .Field("node", kGrayNode)
+        .Field("stretch", geo.gray_stretch, 1)
+        .Field("inject_ns", gray_inject_ns)
+        .End();
+    json.Key("variants").BeginArray();
+    for (const VariantResult& v : variants) {
+      json.BeginObject(JsonWriter::kInline)
+          .Field("name", v.name)
+          .Field("p50_remote_ns", v.p50_remote_ns)
+          .Field("p99_remote_ns", v.p99_remote_ns)
+          .Field("detection_delay_ns", v.detection_delay_ns)
+          .Field("hedge_fabric_ops", v.hedge_ops)
+          .Field("max_completion_ns", v.max_completion_ns)
+          .Key("resilience")
+          .BeginObject();
+      bench::WriteResilienceCounters(json, v.totals);
+      json.Field("gray_fault_events", v.totals.Get(counter::kGrayFaultEvents))
+          .Field("delay_spike_events",
+                 v.totals.Get(counter::kDelaySpikeEvents))
+          .End()
+          .End();
     }
-    std::fprintf(f,
-                 "], \"reads_lost\": %llu, \"slab_repairs\": %llu, "
-                 "\"repair_page_copies\": %llu, \"read_failovers\": %llu, "
-                 "\"probe_tags_written\": %llu, \"probe_tags_lost\": %llu, "
-                 "\"p99_remote_ns\": %llu}%s\n",
-                 static_cast<unsigned long long>(c.reads_lost),
-                 static_cast<unsigned long long>(c.slab_repairs),
-                 static_cast<unsigned long long>(c.repair_copies),
-                 static_cast<unsigned long long>(c.failovers),
-                 static_cast<unsigned long long>(c.tags_written),
-                 static_cast<unsigned long long>(c.tags_lost),
-                 static_cast<unsigned long long>(c.p99_remote_ns),
-                 i + 1 < correlated.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+    json.End().Field("p99_improvement", improvement, 2);
+    json.Key("correlated_failures").BeginArray();
+    for (const CorrelatedResult& c : correlated) {
+      json.BeginObject(JsonWriter::kInline)
+          .Key("group")
+          .Array(c.group)
+          .Field("reads_lost", c.reads_lost)
+          .Field("slab_repairs", c.slab_repairs)
+          .Field("repair_page_copies", c.repair_copies)
+          .Field("read_failovers", c.failovers)
+          .Field("probe_tags_written", c.tags_written)
+          .Field("probe_tags_lost", c.tags_lost)
+          .Field("p99_remote_ns", c.p99_remote_ns)
+          .End();
+    }
+    json.End().End();
+  });
 }
 
-void Run(const bench::BenchArgs& args) {
+bool Run(const bench::BenchArgs& args) {
   const bool smoke = args.smoke;
   const BenchGeometry geo = smoke ? SmokeGeometry() : FullGeometry();
   bench::PrintHeader(
@@ -483,14 +417,19 @@ void Run(const bench::BenchArgs& args) {
   }
   std::printf("\n");
 
-  WriteJson(args.json_path.c_str(), geo, {baseline, unmitigated, mitigated},
-            inject, improvement, correlated, smoke);
+  return WriteJson(args.json_path, geo, {baseline, unmitigated, mitigated},
+                   inject, improvement, correlated, smoke);
 }
 
 }  // namespace
 }  // namespace leap
 
 int main(int argc, char** argv) {
-  leap::Run(leap::bench::ParseBenchArgs(argc, argv, "BENCH_failover.json"));
-  return 0;
+  const auto args = leap::bench::ParseBenchArgs(
+      argc, argv, "BENCH_failover.json",
+      "[--smoke] [--trace[=path]] [--timeseries[=path]] [output.json]");
+  if (!args) {
+    return 2;
+  }
+  return leap::Run(*args) ? 0 : 1;
 }

@@ -28,8 +28,6 @@
 //   output        results JSON (default BENCH_tier.json)
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -82,14 +80,10 @@ struct TierResult {
   SimTimeNs max_completion_ns = 0;
 };
 
-const char* VariantKey(const TierVariant& v, char* buf, size_t n) {
-  if (!v.tiered) {
-    std::snprintf(buf, n, "untiered");
-  } else {
-    std::snprintf(buf, n, "cxl_1_%zu_migrator_%s", v.ratio_denom,
-                  v.migrator ? "on" : "off");
-  }
-  return buf;
+std::string VariantKey(const TierVariant& v) {
+  return v.tiered ? "cxl_1_" + std::to_string(v.ratio_denom) + "_migrator_" +
+                        (v.migrator ? "on" : "off")
+                  : "untiered";
 }
 
 TierResult RunOnce(const BenchGeometry& geo, const TierVariant& variant,
@@ -203,18 +197,7 @@ TierResult RunOnce(const BenchGeometry& geo, const TierVariant& variant,
   out.spills = stats.totals.Get(counter::kTierSpills);
   out.tier_pages = stats.tier_pages;
   out.total_remote_reads = stats.totals.Get(counter::kRemoteReads);
-  if (!trace_path.empty() && cluster.trace() != nullptr) {
-    std::ofstream tf(trace_path);
-    cluster.trace()->ExportChromeTrace(tf);
-    std::printf("wrote %s (%zu events)\n", trace_path.c_str(),
-                cluster.trace()->size());
-  }
-  if (!timeseries_path.empty()) {
-    std::ofstream ts(timeseries_path);
-    WriteJsonl(cluster.samples(), ts);
-    std::printf("wrote %s (%zu samples)\n", timeseries_path.c_str(),
-                cluster.samples().size());
-  }
+  bench::WriteObservability(cluster, trace_path, timeseries_path);
   if (dump != nullptr) {
     cluster.DumpStats(*dump);
   }
@@ -239,32 +222,6 @@ void PrintRow(TextTable& table, const TierResult& r) {
                 hit, p50, p99, dq, mig});
 }
 
-void EmitResult(FILE* f, const TierResult& r, const char* trailing) {
-  char key[64];
-  VariantKey(r.variant, key, sizeof(key));
-  std::fprintf(
-      f,
-      "  \"%s\": {\"tiered\": %s, \"cxl_capacity_pages\": %zu, "
-      "\"migrator\": \"%s\", \"fast_tier_hit_ratio\": %.4f, "
-      "\"demand_p50_ns\": %llu, \"demand_p99_ns\": %llu, "
-      "\"demand_qdelay_mean_ns\": %.1f, \"downlink_demand_ops\": %llu, "
-      "\"downlink_migration_ops\": %llu, \"tier_promotions\": %llu, "
-      "\"tier_demotions\": %llu, \"tier_spills\": %llu, "
-      "\"remote_reads\": %llu, \"max_completion_ns\": %llu}%s\n",
-      key, r.variant.tiered ? "true" : "false", r.cxl_capacity_pages,
-      !r.variant.tiered ? "n/a" : r.variant.migrator ? "on" : "off",
-      r.fast_hit_ratio, static_cast<unsigned long long>(r.demand_p50_ns),
-      static_cast<unsigned long long>(r.demand_p99_ns),
-      r.demand_qdelay_mean_ns,
-      static_cast<unsigned long long>(r.downlink_demand_ops),
-      static_cast<unsigned long long>(r.downlink_migration_ops),
-      static_cast<unsigned long long>(r.promotions),
-      static_cast<unsigned long long>(r.demotions),
-      static_cast<unsigned long long>(r.spills),
-      static_cast<unsigned long long>(r.total_remote_reads),
-      static_cast<unsigned long long>(r.max_completion_ns), trailing);
-}
-
 const TierResult* Find(const std::vector<TierResult>& rows, size_t denom,
                        bool migrator) {
   for (const TierResult& r : rows) {
@@ -276,62 +233,71 @@ const TierResult* Find(const std::vector<TierResult>& rows, size_t denom,
   return nullptr;
 }
 
-void WriteJson(const char* path, const BenchGeometry& geo,
+bool WriteJson(const std::string& path, const BenchGeometry& geo,
                const std::vector<TierResult>& rows, bool smoke) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  bench::WriteSchemaPreamble(
-      f, {"fig17_tiering", /*seed=*/91, geo.hosts, geo.nodes,
-          LinkSchedulerKindName(LinkSchedulerKind::kDemandPriority),
-          PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
-  std::fprintf(f,
-               "  \"geometry\": {\"hosts\": %zu, \"nodes\": %zu, "
-               "\"footprint_pages\": %zu, \"accesses_per_host\": %zu, "
-               "\"slab_pages\": %zu},\n",
-               geo.hosts, geo.nodes, geo.footprint_pages,
-               geo.accesses_per_host, geo.slab_pages);
-  std::fprintf(f,
-               "  \"tiering\": {\"cxl_ratios\": [\"1/8\", \"1/4\", "
-               "\"1/2\"], \"migration_bandwidth_fraction\": %.2f, "
-               "\"workload\": \"scrambled-zipf-0.99, zero think\"},\n",
-               kMigrationFraction);
-  for (const TierResult& r : rows) {
-    EmitResult(f, r, ",");
-  }
-  // Headline: per-ratio migrator effect - fast-tier hit ratio gained and
-  // demand p99 speedup of migrator-on over migrator-off.
-  std::fprintf(f, "  \"improvement\": {");
-  bool first = true;
-  for (const size_t denom : kRatioDenoms) {
-    const TierResult* off = Find(rows, denom, false);
-    const TierResult* on = Find(rows, denom, true);
-    if (off == nullptr || on == nullptr) {
-      continue;
+  return bench::WriteOutputFile(path, [&](std::ostream& out) {
+    JsonWriter json(out);
+    json.BeginObject().Field("mode", smoke ? "smoke" : "full");
+    bench::WriteSchemaPreamble(
+        json, {"fig17_tiering", /*seed=*/91, geo.hosts, geo.nodes,
+               LinkSchedulerKindName(LinkSchedulerKind::kDemandPriority),
+               PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
+    bench::WriteClusterGeometry(json, geo);
+    json.Key("tiering")
+        .BeginObject(JsonWriter::kInline)
+        .Key("cxl_ratios")
+        .BeginArray()
+        .Value("1/8")
+        .Value("1/4")
+        .Value("1/2")
+        .End()
+        .Field("migration_bandwidth_fraction", kMigrationFraction, 2)
+        .Field("workload", "scrambled-zipf-0.99, zero think")
+        .End();
+    for (const TierResult& r : rows) {
+      json.Key(VariantKey(r.variant))
+          .BeginObject(JsonWriter::kInline)
+          .Field("tiered", r.variant.tiered)
+          .Field("cxl_capacity_pages", r.cxl_capacity_pages)
+          .Field("migrator",
+                 !r.variant.tiered ? "n/a" : r.variant.migrator ? "on" : "off")
+          .Field("fast_tier_hit_ratio", r.fast_hit_ratio, 4)
+          .Field("demand_p50_ns", r.demand_p50_ns)
+          .Field("demand_p99_ns", r.demand_p99_ns)
+          .Field("demand_qdelay_mean_ns", r.demand_qdelay_mean_ns, 1)
+          .Field("downlink_demand_ops", r.downlink_demand_ops)
+          .Field("downlink_migration_ops", r.downlink_migration_ops)
+          .Field("tier_promotions", r.promotions)
+          .Field("tier_demotions", r.demotions)
+          .Field("tier_spills", r.spills)
+          .Field("remote_reads", r.total_remote_reads)
+          .Field("max_completion_ns", r.max_completion_ns)
+          .End();
     }
-    const double speedup =
-        on->demand_p99_ns == 0
-            ? 0.0
-            : static_cast<double>(off->demand_p99_ns) /
-                  static_cast<double>(on->demand_p99_ns);
-    std::fprintf(f,
-                 "%s\"cxl_1_%zu_hit_ratio_gain\": %.4f, "
-                 "\"cxl_1_%zu_demand_p99_speedup\": %.3f",
-                 first ? "" : ", ", denom,
-                 on->fast_hit_ratio - off->fast_hit_ratio, denom, speedup);
-    first = false;
-  }
-  std::fprintf(f, "}\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+    // Headline: per-ratio migrator effect - fast-tier hit ratio gained and
+    // demand p99 speedup of migrator-on over migrator-off.
+    json.Key("improvement").BeginObject(JsonWriter::kInline);
+    for (const size_t denom : kRatioDenoms) {
+      const TierResult* off = Find(rows, denom, false);
+      const TierResult* on = Find(rows, denom, true);
+      if (off == nullptr || on == nullptr) {
+        continue;
+      }
+      const double speedup =
+          on->demand_p99_ns == 0
+              ? 0.0
+              : static_cast<double>(off->demand_p99_ns) /
+                    static_cast<double>(on->demand_p99_ns);
+      const std::string prefix = "cxl_1_" + std::to_string(denom);
+      json.Field(prefix + "_hit_ratio_gain",
+                 on->fast_hit_ratio - off->fast_hit_ratio, 4)
+          .Field(prefix + "_demand_p99_speedup", speedup, 3);
+    }
+    json.End().End();
+  });
 }
 
-void Run(const bench::BenchArgs& args) {
+bool Run(const bench::BenchArgs& args) {
   const BenchGeometry geo = args.smoke ? SmokeGeometry() : FullGeometry();
   bench::PrintHeader(
       "Figure 17 (extension): tiered far memory with a hot/cold migrator",
@@ -371,13 +337,18 @@ void Run(const bench::BenchArgs& args) {
         ToUs(on->demand_p99_ns));
   }
 
-  WriteJson(args.json_path.c_str(), geo, rows, args.smoke);
+  return WriteJson(args.json_path, geo, rows, args.smoke);
 }
 
 }  // namespace
 }  // namespace leap
 
 int main(int argc, char** argv) {
-  leap::Run(leap::bench::ParseBenchArgs(argc, argv, "BENCH_tier.json"));
-  return 0;
+  const auto args = leap::bench::ParseBenchArgs(
+      argc, argv, "BENCH_tier.json",
+      "[--smoke] [--trace[=path]] [--timeseries[=path]] [output.json]");
+  if (!args) {
+    return 2;
+  }
+  return leap::Run(*args) ? 0 : 1;
 }

@@ -18,26 +18,19 @@
 //   --smoke   tiny configuration for CI (4/8 hosts)
 //   output    results JSON (default BENCH_scale.json)
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/runtime/sharded_cluster.h"
 #include "src/stats/table.h"
-#include "src/workload/cluster_mix.h"
 
 namespace leap {
 namespace {
 
 struct BenchGeometry {
   std::vector<size_t> host_scales;
-  // Largest scale that also runs the single-shard baseline (the baseline
-  // is the slow configuration; the sharded sweep goes further).
-  size_t baseline_max_hosts = 0;
   size_t hosts_per_node = 4;
   size_t footprint_pages = 2048;
   size_t total_frames = 2048;
@@ -51,14 +44,12 @@ struct BenchGeometry {
 BenchGeometry FullGeometry() {
   BenchGeometry geo;
   geo.host_scales = {32, 64, 128, 256, 512, 1024, 2048, 4096};
-  geo.baseline_max_hosts = 4096;
   return geo;
 }
 
 BenchGeometry SmokeGeometry() {
   BenchGeometry geo;
   geo.host_scales = {4, 8};
-  geo.baseline_max_hosts = 8;
   geo.footprint_pages = 512;
   geo.total_frames = 512;
   geo.accesses_per_host = 1500;
@@ -87,72 +78,15 @@ size_t ShardsFor(const BenchGeometry& geo, size_t hosts) {
 
 // Deterministic per-engine results plus the (non-deterministic) wall time.
 struct EngineResult {
-  uint64_t remote_reads = 0;
-  uint64_t fabric_ops = 0;
-  uint64_t p50_remote_ns = 0;
-  uint64_t p99_remote_ns = 0;
-  double agg_accesses_per_sim_sec = 0.0;
-  SimTimeNs max_completion_ns = 0;
-  uint64_t cross_shard_sent = 0;
-  uint64_t cross_shard_applied = 0;
+  bench::ClusterMixResult mix;  // carries the wall time, run_wall_ms
   uint64_t mailbox_overflows = 0;
   uint64_t windows_run = 0;
-  double wall_ms = 0.0;
 };
-
-// Warm + run the fig13 workload mix (zipf / sequential / trace per host);
-// every shard count sees byte-identical specs.
-EngineResult RunWorkload(ShardedCluster& cluster, const BenchGeometry& geo) {
-  const size_t hosts = cluster.num_hosts();
-  std::vector<std::unique_ptr<AccessStream>> streams;
-  std::vector<ClusterAppSpec> specs;
-  std::vector<Pid> pids;
-  SimTimeNs warm_end = 0;
-  for (size_t h = 0; h < hosts; ++h) {
-    const Pid pid = cluster.host(h).CreateProcess(geo.footprint_pages / 2);
-    pids.push_back(pid);
-    warm_end = WarmUp(cluster.host(h), pid, geo.footprint_pages, warm_end);
-    streams.push_back(MakeClusterMixStream(h, geo.footprint_pages));
-  }
-  for (size_t h = 0; h < hosts; ++h) {
-    RunConfig run;
-    run.total_accesses = geo.accesses_per_host;
-    run.start_time_ns = warm_end + 10 * kNsPerMs;
-    run.seed = 100 + h;
-    specs.push_back({h, pids[h], streams[h].get(), run});
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  const auto results = cluster.Run(std::move(specs));
-  const auto wall_end = std::chrono::steady_clock::now();
-
-  EngineResult out;
-  out.wall_ms =
-      std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
-  Histogram merged;
-  uint64_t total_accesses = 0;
-  for (size_t h = 0; h < hosts; ++h) {
-    merged.Merge(cluster.host_remote_latency(h));
-    total_accesses += results[h].accesses;
-    out.max_completion_ns =
-        std::max(out.max_completion_ns, results[h].completion_ns);
-  }
-  out.p50_remote_ns = merged.Percentile(0.5);
-  out.p99_remote_ns = merged.Percentile(0.99);
-  const ClusterStats stats = cluster.Stats();
-  out.remote_reads = stats.totals.Get(counter::kRemoteReads);
-  out.fabric_ops = stats.fabric_ops;
-  out.cross_shard_sent = stats.totals.Get(counter::kCrossShardSent);
-  out.cross_shard_applied = stats.totals.Get(counter::kCrossShardApplied);
-  out.agg_accesses_per_sim_sec =
-      out.max_completion_ns == 0
-          ? 0.0
-          : static_cast<double>(total_accesses) / ToSec(out.max_completion_ns);
-  return out;
-}
 
 EngineResult RunSingleQueue(const BenchGeometry& geo, size_t hosts) {
   ShardedCluster cluster({MakeBase(geo, hosts)});
-  return RunWorkload(cluster, geo);
+  return {bench::RunClusterMix(cluster, geo.footprint_pages,
+                               geo.accesses_per_host)};
 }
 
 EngineResult RunSharded(const BenchGeometry& geo, size_t hosts) {
@@ -163,7 +97,8 @@ EngineResult RunSharded(const BenchGeometry& geo, size_t hosts) {
       FabricLookaheadNs(config.base.fabric) * geo.window_mult;
   config.mirror_every = geo.mirror_every;
   ShardedCluster cluster(config);
-  EngineResult out = RunWorkload(cluster, geo);
+  EngineResult out = {bench::RunClusterMix(cluster, geo.footprint_pages,
+                                           geo.accesses_per_host)};
   out.windows_run = cluster.windows_run();
   out.mailbox_overflows = cluster.mailbox_overflows();
   return out;
@@ -172,97 +107,71 @@ EngineResult RunSharded(const BenchGeometry& geo, size_t hosts) {
 struct ScaleRow {
   size_t hosts = 0;
   size_t shards = 0;
-  bool has_baseline = false;
   EngineResult sharded;
   EngineResult single_queue;
 };
 
-void WriteEngineJson(FILE* f, const char* indent, const EngineResult& r,
-                     bool sharded) {
-  std::fprintf(
-      f,
-      "%s\"remote_reads\": %llu, \"fabric_ops\": %llu, "
-      "\"p50_remote_ns\": %llu, \"p99_remote_ns\": %llu, "
-      "\"agg_accesses_per_sim_sec\": %.0f, \"max_completion_ns\": %llu",
-      indent, static_cast<unsigned long long>(r.remote_reads),
-      static_cast<unsigned long long>(r.fabric_ops),
-      static_cast<unsigned long long>(r.p50_remote_ns),
-      static_cast<unsigned long long>(r.p99_remote_ns),
-      r.agg_accesses_per_sim_sec,
-      static_cast<unsigned long long>(r.max_completion_ns));
+void WriteEngineJson(JsonWriter& json, const EngineResult& r, bool sharded) {
+  const Counters& totals = r.mix.stats.totals;
+  json.BeginObject(JsonWriter::kInline)
+      .Field("remote_reads", totals.Get(counter::kRemoteReads))
+      .Field("fabric_ops", r.mix.stats.fabric_ops)
+      .Field("p50_remote_ns", r.mix.p50_remote_ns)
+      .Field("p99_remote_ns", r.mix.p99_remote_ns)
+      .Field("agg_accesses_per_sim_sec", r.mix.agg_accesses_per_sim_sec, 0)
+      .Field("max_completion_ns", r.mix.max_completion_ns);
   if (sharded) {
-    std::fprintf(
-        f,
-        ", \"cross_shard_sent\": %llu, \"cross_shard_applied\": %llu, "
-        "\"mailbox_overflows\": %llu, \"windows_run\": %llu",
-        static_cast<unsigned long long>(r.cross_shard_sent),
-        static_cast<unsigned long long>(r.cross_shard_applied),
-        static_cast<unsigned long long>(r.mailbox_overflows),
-        static_cast<unsigned long long>(r.windows_run));
+    json.Field("cross_shard_sent", totals.Get(counter::kCrossShardSent))
+        .Field("cross_shard_applied", totals.Get(counter::kCrossShardApplied))
+        .Field("mailbox_overflows", r.mailbox_overflows)
+        .Field("windows_run", r.windows_run);
   }
+  json.End();
 }
 
-void WriteJson(const char* path, const BenchGeometry& geo,
+bool WriteJson(const std::string& path, const BenchGeometry& geo,
                const std::vector<ScaleRow>& rows, bool smoke) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  bench::WriteSchemaPreamble(
-      f, {"fig18_scale", /*seed=*/91, geo.host_scales.back(),
-          geo.host_scales.back() / geo.hosts_per_node, "fifo",
-          PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
-  std::fprintf(f,
-               "  \"geometry\": {\"hosts_per_node\": %zu, "
-               "\"footprint_pages\": %zu, \"accesses_per_host\": %zu, "
-               "\"slab_pages\": %zu, \"hosts_per_shard\": %zu, "
-               "\"window_mult\": %zu, \"mirror_every\": %zu},\n",
-               geo.hosts_per_node, geo.footprint_pages, geo.accesses_per_host,
-               geo.slab_pages, geo.hosts_per_shard, geo.window_mult,
-               geo.mirror_every);
-  std::fprintf(f, "  \"workload_mix\": [\"zipf-0.99\", \"sequential\", "
-                  "\"trace(stride-8)\"],\n");
-  std::fprintf(f, "  \"scales\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ScaleRow& row = rows[i];
-    std::fprintf(f, "    {\"hosts\": %zu, \"shards\": %zu,\n", row.hosts,
-                 row.shards);
-    std::fprintf(f, "     \"sharded\": {");
-    WriteEngineJson(f, "", row.sharded, /*sharded=*/true);
-    std::fprintf(f, "},\n");
-    if (row.has_baseline) {
-      std::fprintf(f, "     \"single_queue\": {");
-      WriteEngineJson(f, "", row.single_queue, /*sharded=*/false);
-      std::fprintf(f, "},\n");
-    } else {
-      std::fprintf(f, "     \"single_queue\": null,\n");
+  return bench::WriteOutputFile(path, [&](std::ostream& out) {
+    JsonWriter json(out);
+    json.BeginObject().Field("mode", smoke ? "smoke" : "full");
+    bench::WriteSchemaPreamble(
+        json, {"fig18_scale", /*seed=*/91, geo.host_scales.back(),
+               geo.host_scales.back() / geo.hosts_per_node, "fifo",
+               PlacementPolicyName(PlacementPolicy::kPowerOfTwo)});
+    json.Key("geometry")
+        .BeginObject(JsonWriter::kInline)
+        .Field("hosts_per_node", geo.hosts_per_node)
+        .Field("footprint_pages", geo.footprint_pages)
+        .Field("accesses_per_host", geo.accesses_per_host)
+        .Field("slab_pages", geo.slab_pages)
+        .Field("hosts_per_shard", geo.hosts_per_shard)
+        .Field("window_mult", geo.window_mult)
+        .Field("mirror_every", geo.mirror_every)
+        .End();
+    bench::WriteClusterMixNames(json);
+    json.Key("scales").BeginArray();
+    for (const ScaleRow& row : rows) {
+      json.BeginObject().Field("hosts", row.hosts).Field("shards", row.shards);
+      json.Key("sharded");
+      WriteEngineJson(json, row.sharded, /*sharded=*/true);
+      json.Key("single_queue");
+      WriteEngineJson(json, row.single_queue, /*sharded=*/false);
+      // Wall-clock keys live on their own lines, all prefixed "wall": CI's
+      // byte-identical rerun guard strips them with grep -v '"wall' before
+      // cmp, so everything else must be seed-deterministic.
+      const double wall_sharded = row.sharded.mix.run_wall_ms;
+      const double wall_1q = row.single_queue.mix.run_wall_ms;
+      json.Field("wall_ms_sharded", wall_sharded, 1)
+          .Field("wall_ms_single_queue", wall_1q, 1)
+          .Field("wall_speedup",
+                 wall_sharded <= 0.0 ? 0.0 : wall_1q / wall_sharded, 2)
+          .End();
     }
-    // Wall-clock keys live on their own lines, all prefixed "wall": CI's
-    // byte-identical rerun guard strips them with grep -v '"wall' before
-    // cmp, so everything above must be seed-deterministic.
-    std::fprintf(f, "     \"wall_ms_sharded\": %.1f,\n",
-                 row.sharded.wall_ms);
-    if (row.has_baseline) {
-      std::fprintf(f, "     \"wall_ms_single_queue\": %.1f,\n",
-                   row.single_queue.wall_ms);
-      std::fprintf(f, "     \"wall_speedup\": %.2f,\n",
-                   row.sharded.wall_ms <= 0.0
-                       ? 0.0
-                       : row.single_queue.wall_ms / row.sharded.wall_ms);
-    }
-    std::fprintf(f, "     \"end\": true}%s\n",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+    json.End().End();
+  });
 }
 
-void Run(bool smoke, const char* json_path) {
+bool Run(bool smoke, const std::string& json_path) {
   const BenchGeometry geo = smoke ? SmokeGeometry() : FullGeometry();
   bench::PrintHeader(
       "Figure 18 (engine scaling): one shard vs many at 32 -> 4096 hosts",
@@ -279,51 +188,36 @@ void Run(bool smoke, const char* json_path) {
     row.hosts = hosts;
     row.shards = ShardsFor(geo, hosts);
     row.sharded = RunSharded(geo, hosts);
-    row.has_baseline = hosts <= geo.baseline_max_hosts;
-    if (row.has_baseline) {
-      row.single_queue = RunSingleQueue(geo, hosts);
-    }
+    row.single_queue = RunSingleQueue(geo, hosts);
     const double total_acc =
         static_cast<double>(hosts * geo.accesses_per_host);
+    const double wall_sharded = row.sharded.mix.run_wall_ms;
+    const double wall_1q = row.single_queue.mix.run_wall_ms;
     char hs[32], sh[32], oneq[32], shard[32], speed[32], thr1[32], thr2[32];
     std::snprintf(hs, sizeof(hs), "%zu", hosts);
     std::snprintf(sh, sizeof(sh), "%zu", row.shards);
-    if (row.has_baseline) {
-      std::snprintf(oneq, sizeof(oneq), "%.1f",
-                    row.single_queue.wall_ms / 1000.0);
-      std::snprintf(speed, sizeof(speed), "%.2fx",
-                    row.single_queue.wall_ms / row.sharded.wall_ms);
-      std::snprintf(thr1, sizeof(thr1), "%.2f",
-                    total_acc / row.single_queue.wall_ms / 1000.0);
-    } else {
-      std::snprintf(oneq, sizeof(oneq), "-");
-      std::snprintf(speed, sizeof(speed), "-");
-      std::snprintf(thr1, sizeof(thr1), "-");
-    }
-    std::snprintf(shard, sizeof(shard), "%.1f", row.sharded.wall_ms / 1000.0);
+    std::snprintf(oneq, sizeof(oneq), "%.1f", wall_1q / 1000.0);
+    std::snprintf(speed, sizeof(speed), "%.2fx", wall_1q / wall_sharded);
+    std::snprintf(thr1, sizeof(thr1), "%.2f", total_acc / wall_1q / 1000.0);
+    std::snprintf(shard, sizeof(shard), "%.1f", wall_sharded / 1000.0);
     std::snprintf(thr2, sizeof(thr2), "%.2f",
-                  total_acc / row.sharded.wall_ms / 1000.0);
+                  total_acc / wall_sharded / 1000.0);
     table.AddRow({hs, sh, oneq, shard, speed, thr1, thr2});
     rows.push_back(row);
   }
   std::printf("%s\n", table.Render().c_str());
 
-  WriteJson(json_path, geo, rows, smoke);
+  return WriteJson(json_path, geo, rows, smoke);
 }
 
 }  // namespace
 }  // namespace leap
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  const char* json_path = "BENCH_scale.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      json_path = argv[i];
-    }
+  const auto args = leap::bench::ParseBenchArgs(argc, argv, "BENCH_scale.json",
+                                                "[--smoke] [output.json]");
+  if (!args) {
+    return 2;
   }
-  leap::Run(smoke, json_path);
-  return 0;
+  return leap::Run(args->smoke, args->json_path) ? 0 : 1;
 }

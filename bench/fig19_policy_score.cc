@@ -208,68 +208,57 @@ Criteria EvaluateCriteria(const std::vector<PatternScores>& all) {
   return crit;
 }
 
-void WriteJson(const char* path, const std::vector<PatternScores>& all,
+bool WriteJson(const std::string& path, const std::vector<PatternScores>& all,
                const Criteria& crit, const BenchGeometry& geo, bool smoke) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  bench::BenchRunInfo info;
-  info.bench = "fig19_policy_score";
-  info.seed = kSeed;
-  info.hosts = 1;
-  info.nodes = 2;
-  bench::WriteSchemaPreamble(f, info);
-  std::fprintf(f,
-               "  \"geometry\": {\"footprint_pages\": %zu, \"accesses\": "
-               "%zu, \"total_frames\": %zu},\n",
-               geo.footprint_pages, geo.accesses, geo.total_frames);
-  std::fprintf(f, "  \"patterns\": {\n");
-  for (size_t i = 0; i < all.size(); ++i) {
-    const PatternScores& ps = all[i];
-    std::fprintf(f, "    \"%s\": {\n", ps.pattern.c_str());
-    for (size_t j = 0; j < ps.policies.size(); ++j) {
-      const PolicyScore& s = ps.policies[j];
-      std::fprintf(
-          f,
-          "      \"%s\": {\"accuracy_pct\": %.4f, \"coverage_pct\": %.4f, "
-          "\"timeliness_p50_ns\": %llu, \"timeliness_p99_ns\": %llu, "
-          "\"wasted_ratio\": %.4f, \"issued\": %llu, \"hits\": %llu, "
-          "\"faults\": %llu}%s\n",
-          s.policy.c_str(), s.accuracy_pct, s.coverage_pct,
-          static_cast<unsigned long long>(s.timeliness_p50_ns),
-          static_cast<unsigned long long>(s.timeliness_p99_ns),
-          s.wasted_ratio, static_cast<unsigned long long>(s.issued),
-          static_cast<unsigned long long>(s.hits),
-          static_cast<unsigned long long>(s.faults),
-          j + 1 < ps.policies.size() ? "," : "");
+  return bench::WriteOutputFile(path, [&](std::ostream& out) {
+    JsonWriter json(out);
+    json.BeginObject().Field("mode", smoke ? "smoke" : "full");
+    bench::WriteSchemaPreamble(
+        json, {"fig19_policy_score", kSeed, /*hosts=*/1, /*nodes=*/2});
+    json.Key("geometry")
+        .BeginObject(JsonWriter::kInline)
+        .Field("footprint_pages", geo.footprint_pages)
+        .Field("accesses", geo.accesses)
+        .Field("total_frames", geo.total_frames)
+        .End();
+    json.Key("patterns").BeginObject();
+    for (const PatternScores& ps : all) {
+      json.Key(ps.pattern).BeginObject();
+      for (const PolicyScore& s : ps.policies) {
+        json.Key(s.policy)
+            .BeginObject(JsonWriter::kInline)
+            .Field("accuracy_pct", s.accuracy_pct, 4)
+            .Field("coverage_pct", s.coverage_pct, 4)
+            .Field("timeliness_p50_ns", s.timeliness_p50_ns)
+            .Field("timeliness_p99_ns", s.timeliness_p99_ns)
+            .Field("wasted_ratio", s.wasted_ratio, 4)
+            .Field("issued", s.issued)
+            .Field("hits", s.hits)
+            .Field("faults", s.faults)
+            .End();
+      }
+      json.End();
     }
-    std::fprintf(f, "    }%s\n", i + 1 < all.size() ? "," : "");
-  }
-  std::fprintf(f, "  },\n");
-  std::fprintf(
-      f,
-      "  \"criteria\": {\n"
-      "    \"online_delta_accuracy_scrambled_zipf\": %.4f,\n"
-      "    \"next_n_line_accuracy_scrambled_zipf\": %.4f,\n"
-      "    \"online_delta_beats_next_n_line\": %s,\n"
-      "    \"profile_guided_coverage_strided\": %.4f,\n"
-      "    \"leap_coverage_strided\": %.4f,\n"
-      "    \"profile_guided_ge_0.9x_leap\": %s\n"
-      "  }\n",
-      crit.online_delta_accuracy, crit.next_n_line_accuracy,
-      crit.online_delta_beats_next_n_line ? "true" : "false",
-      crit.profile_guided_coverage, crit.leap_coverage,
-      crit.profile_guided_approaches_leap ? "true" : "false");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+    json.End();
+    json.Key("criteria")
+        .BeginObject()
+        .Field("online_delta_accuracy_scrambled_zipf",
+               crit.online_delta_accuracy, 4)
+        .Field("next_n_line_accuracy_scrambled_zipf",
+               crit.next_n_line_accuracy, 4)
+        .Field("online_delta_beats_next_n_line",
+               crit.online_delta_beats_next_n_line)
+        .Field("profile_guided_coverage_strided", crit.profile_guided_coverage,
+               4)
+        .Field("leap_coverage_strided", crit.leap_coverage, 4)
+        .Field("profile_guided_ge_0.9x_leap",
+               crit.profile_guided_approaches_leap)
+        .End();
+    json.End();
+  });
 }
 
-void Run(const bench::BenchArgs& args) {
+bool Run(const bench::BenchArgs& args) {
   const BenchGeometry geo = args.smoke ? SmokeGeometry() : FullGeometry();
   bench::PrintHeader(
       "Figure 19 - per-policy accuracy / coverage / timeliness / waste "
@@ -317,15 +306,17 @@ void Run(const bench::BenchArgs& args) {
       crit.profile_guided_coverage, crit.leap_coverage,
       crit.profile_guided_approaches_leap ? "PASS" : "FAIL");
 
-  WriteJson(args.json_path.c_str(), all, crit, geo, args.smoke);
+  return WriteJson(args.json_path, all, crit, geo, args.smoke);
 }
 
 }  // namespace
 }  // namespace leap
 
 int main(int argc, char** argv) {
-  const leap::bench::BenchArgs args =
-      leap::bench::ParseBenchArgs(argc, argv, "BENCH_policy.json");
-  leap::Run(args);
-  return 0;
+  const auto args = leap::bench::ParseBenchArgs(
+      argc, argv, "BENCH_policy.json", "[--smoke] [output.json]");
+  if (!args) {
+    return 2;
+  }
+  return leap::Run(*args) ? 0 : 1;
 }

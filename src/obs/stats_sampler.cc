@@ -1,62 +1,46 @@
 #include "src/obs/stats_sampler.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include "src/stats/json_writer.h"
 
 namespace leap {
 
 void WriteJsonl(const std::vector<StatsSample>& samples, std::ostream& out) {
-  char buf[256];
+  JsonWriter json(out);
   for (const StatsSample& s : samples) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"ts_ns\": %" PRIu64 ", \"window_demand_ops\": %" PRIu64
-                  ", \"window_demand_p50_ns\": %" PRIu64
-                  ", \"window_demand_p99_ns\": %" PRIu64
-                  ", \"demand_qdelay_ewma_ns\": %.1f"
-                  ", \"prefetch_qdelay_ewma_ns\": %.1f",
-                  s.ts, s.window_demand_ops, s.window_demand_p50_ns,
-                  s.window_demand_p99_ns, s.demand_queue_delay_ewma_ns,
-                  s.prefetch_queue_delay_ewma_ns);
-    out << buf;
-    out << ", \"node_state\": [";
-    for (size_t i = 0; i < s.node_state.size(); ++i) {
-      out << (i ? ", " : "") << static_cast<unsigned>(s.node_state[i]);
+    json.BeginObject(JsonWriter::kInline)
+        .Field("ts_ns", s.ts)
+        .Field("window_demand_ops", s.window_demand_ops)
+        .Field("window_demand_p50_ns", s.window_demand_p50_ns)
+        .Field("window_demand_p99_ns", s.window_demand_p99_ns)
+        .Field("demand_qdelay_ewma_ns", s.demand_queue_delay_ewma_ns, 1)
+        .Field("prefetch_qdelay_ewma_ns", s.prefetch_queue_delay_ewma_ns, 1)
+        .Key("node_state")
+        .Array(s.node_state)
+        .Key("node_ewma_ns")
+        .BeginArray();
+    for (const double ewma : s.node_ewma_ns) {
+      json.Value(ewma, 1);
     }
-    out << "], \"node_ewma_ns\": [";
-    for (size_t i = 0; i < s.node_ewma_ns.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "%s%.1f", i ? ", " : "",
-                    s.node_ewma_ns[i]);
-      out << buf;
-    }
-    out << "], \"host_free_frames\": [";
-    for (size_t i = 0; i < s.host_free_frames.size(); ++i) {
-      out << (i ? ", " : "") << s.host_free_frames[i];
-    }
-    out << "], \"host_cache_pages\": [";
-    for (size_t i = 0; i < s.host_cache_pages.size(); ++i) {
-      out << (i ? ", " : "") << s.host_cache_pages[i];
-    }
-    out << "]";
+    json.End()
+        .Key("host_free_frames")
+        .Array(s.host_free_frames)
+        .Key("host_cache_pages")
+        .Array(s.host_cache_pages);
     if (!s.tier_pages.empty()) {
-      out << ", \"tier_pages\": [";
-      for (size_t i = 0; i < s.tier_pages.size(); ++i) {
-        out << (i ? ", " : "") << s.tier_pages[i];
-      }
-      std::snprintf(buf, sizeof(buf),
-                    "], \"tier_promotions\": %" PRIu64
-                    ", \"tier_demotions\": %" PRIu64,
-                    s.tier_promotions, s.tier_demotions);
-      out << buf;
+      json.Key("tier_pages")
+          .Array(s.tier_pages)
+          .Field("tier_promotions", s.tier_promotions)
+          .Field("tier_demotions", s.tier_demotions);
     }
-    out << ", \"tenant_budgets\": [";
-    for (size_t i = 0; i < s.tenant_budgets.size(); ++i) {
-      const StatsSample::TenantBudget& t = s.tenant_budgets[i];
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"host\": %u, \"pid\": %u, \"budget\": %.3f}",
-                    i ? ", " : "", t.host, t.pid, t.budget);
-      out << buf;
+    json.Key("tenant_budgets").BeginArray();
+    for (const StatsSample::TenantBudget& t : s.tenant_budgets) {
+      json.BeginObject()
+          .Field("host", t.host)
+          .Field("pid", t.pid)
+          .Field("budget", t.budget, 3)
+          .End();
     }
-    out << "]}\n";
+    json.End().End();
   }
 }
 
