@@ -4,11 +4,12 @@
 //
 // Two stories in one sweep:
 //  - simulator throughput (wall-clock accesses/s): a single shard's
-//    per-access cost grows with host count (an O(hosts) ready-app scan
-//    plus one ever-growing event heap), so its throughput decays as the
-//    cluster grows; many shards keep per-shard work constant and hold
-//    throughput roughly flat. The speedup at equal host count is the
-//    acceptance number (>= 3x at the top scales).
+//    per-access cost grows with host count (one event heap and one
+//    ready-app heap holding every host, and a working set that outgrows
+//    the caches), so its throughput decays as the cluster grows; many
+//    shards keep per-shard work constant and hold throughput roughly
+//    flat. The speedup at equal host count is the acceptance number
+//    (>= 3x at the top scales).
 //  - determinism: every simulation-derived number in the JSON is a pure
 //    function of (seed, shard count). Wall-clock keys are all prefixed
 //    "wall" and placed on their own lines so CI's byte-identical rerun
@@ -175,9 +176,10 @@ bool Run(bool smoke, const std::string& json_path) {
   const BenchGeometry geo = smoke ? SmokeGeometry() : FullGeometry();
   bench::PrintHeader(
       "Figure 18 (engine scaling): one shard vs many at 32 -> 4096 hosts",
-      "a single shard's per-access cost grows with host count (O(hosts) "
-      "ready scan + one global event heap); many shards keep per-shard "
-      "work constant, so simulator throughput holds as the cluster grows");
+      "a single shard's per-access cost grows with host count (one event "
+      "heap and one ready-app heap over every host); many shards keep "
+      "per-shard work constant, so simulator throughput holds as the "
+      "cluster grows");
 
   std::vector<ScaleRow> rows;
   TextTable table;

@@ -1,17 +1,19 @@
 #include "src/runtime/app_runner.h"
 
-#include <algorithm>
+#include "src/sim/flat_heap.h"
 
 namespace leap {
 
 BoundAppSet::BoundAppSet(std::vector<BoundAppSpec> specs) {
   apps_.reserve(specs.size());
+  ready_.reserve(specs.size());
   for (const BoundAppSpec& spec : specs) {
     AppState state;
     state.spec = spec;
     state.rng = Rng(spec.config.seed);
     state.local_time = spec.config.start_time_ns;
     state.result.app_name = spec.stream->name();
+    HeapPush(ready_, Ready{state.local_time, apps_.size()}, Earlier{});
     apps_.push_back(std::move(state));
   }
 }
@@ -65,45 +67,22 @@ void BoundAppSet::StepUntil(SimTimeNs until, const RunHooks& hooks) {
   // pools, a cluster's fabric and event queue) then observes a single
   // near-non-decreasing timeline - the contention model and the
   // determinism guarantee at once.
-  for (;;) {
-    AppState* next = nullptr;
-    size_t next_index = 0;
-    for (size_t i = 0; i < apps_.size(); ++i) {
-      AppState& app = apps_[i];
-      if (!app.done &&
-          (next == nullptr || app.local_time < next->local_time)) {
-        next = &app;
-        next_index = i;
-      }
+  while (!ready_.empty() && ready_[0].local_time < until) {
+    const size_t index = ready_[0].index;
+    AppState& app = apps_[index];
+    if (hooks.keep_running && !hooks.keep_running(index)) {
+      Finish(app, /*finished=*/false);
+    } else {
+      Step(app, index, hooks);
     }
-    if (next == nullptr || next->local_time >= until) {
-      break;
-    }
-    if (hooks.keep_running && !hooks.keep_running(next_index)) {
-      Finish(*next, /*finished=*/false);
-      continue;
-    }
-    Step(*next, next_index, hooks);
-  }
-}
-
-bool BoundAppSet::AllDone() const {
-  for (const AppState& app : apps_) {
-    if (!app.done) {
-      return false;
+    if (app.done) {
+      HeapPopTop(ready_, Earlier{});
+    } else {
+      // Local time only moves forward, so the entry can only sink.
+      ready_[0].local_time = app.local_time;
+      HeapSiftDown(ready_, 0, Earlier{});
     }
   }
-  return true;
-}
-
-SimTimeNs BoundAppSet::NextStepTime() const {
-  SimTimeNs earliest = kNoStep;
-  for (const AppState& app : apps_) {
-    if (!app.done && app.local_time < earliest) {
-      earliest = app.local_time;
-    }
-  }
-  return earliest;
 }
 
 std::vector<RunResult> BoundAppSet::TakeResults() {

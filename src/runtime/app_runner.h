@@ -101,6 +101,10 @@ struct RunHooks {
 // bounded time windows. The step sequence is a pure function of the specs
 // and the window boundaries partitioning time - stepping to `t` in one
 // call or in many produces bit-identical state.
+//
+// Live apps sit in a flat min-heap keyed on (local time, spec index), so a
+// step costs O(log apps) and NextStepTime/AllDone are O(1). Equal local
+// times step in spec order.
 class BoundAppSet {
  public:
   // "No runnable app" sentinel from NextStepTime (all-ones, sorts after
@@ -113,10 +117,12 @@ class BoundAppSet {
   // time is < `until`. Pass kNoStep to run everything to completion.
   void StepUntil(SimTimeNs until, const RunHooks& hooks = {});
 
-  bool AllDone() const;
+  bool AllDone() const { return ready_.empty(); }
   // Earliest live app's local time (the time its next step begins), or
   // kNoStep when every app has finished.
-  SimTimeNs NextStepTime() const;
+  SimTimeNs NextStepTime() const {
+    return ready_.empty() ? kNoStep : ready_[0].local_time;
+  }
   size_t size() const { return apps_.size(); }
 
   // Moves results out; the set is spent afterwards.
@@ -133,10 +139,23 @@ class BoundAppSet {
     RunResult result;
   };
 
+  // Heap entry: a live app's next step time and its index in apps_.
+  struct Ready {
+    SimTimeNs local_time;
+    size_t index;
+  };
+  struct Earlier {
+    bool operator()(const Ready& a, const Ready& b) const {
+      return a.local_time != b.local_time ? a.local_time < b.local_time
+                                          : a.index < b.index;
+    }
+  };
+
   void Finish(AppState& app, bool finished);
   void Step(AppState& app, size_t index, const RunHooks& hooks);
 
   std::vector<AppState> apps_;
+  std::vector<Ready> ready_;  // live apps, flat 4-ary min-heap
 };
 
 std::vector<RunResult> RunBoundApps(std::vector<BoundAppSpec> specs,

@@ -1,7 +1,8 @@
 #include "src/sim/event_queue.h"
 
-#include <algorithm>
 #include <utility>
+
+#include "src/sim/flat_heap.h"
 
 namespace leap {
 
@@ -19,58 +20,16 @@ uint32_t EventQueue::AcquireNode(Callback cb) {
 
 void EventQueue::ReleaseNode(uint32_t node) { free_nodes_.push_back(node); }
 
-void EventQueue::SiftUp(size_t i) {
-  while (i != 0) {
-    const size_t parent = (i - 1) / 4;
-    if (!Earlier(heap_[i], heap_[parent])) {
-      break;
-    }
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void EventQueue::SiftDown(size_t i) {
-  const size_t n = heap_.size();
-  while (true) {
-    const size_t first_child = 4 * i + 1;
-    if (first_child >= n) {
-      break;
-    }
-    size_t best = first_child;
-    const size_t last_child = std::min(first_child + 4, n);
-    for (size_t c = first_child + 1; c < last_child; ++c) {
-      if (Earlier(heap_[c], heap_[best])) {
-        best = c;
-      }
-    }
-    if (!Earlier(heap_[best], heap_[i])) {
-      break;
-    }
-    std::swap(heap_[i], heap_[best]);
-    i = best;
-  }
-}
-
-void EventQueue::PopTop() {
-  heap_[0] = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    SiftDown(0);
-  }
-}
-
 void EventQueue::ScheduleAt(SimTimeNs when, Callback cb) {
   const uint32_t node = AcquireNode(std::move(cb));
-  heap_.push_back(HeapEntry{when, next_seq_++, node});
-  SiftUp(heap_.size() - 1);
+  HeapPush(heap_, HeapEntry{when, next_seq_++, node}, Earlier{});
 }
 
 size_t EventQueue::RunUntil(SimTimeNs until) {
   size_t ran = 0;
   while (!heap_.empty() && heap_[0].when <= until) {
     const HeapEntry top = heap_[0];
-    PopTop();
+    HeapPopTop(heap_, Earlier{});
     // Move the callable out and recycle its node before invoking: the
     // callback may schedule further events (and reuse this very node).
     Callback cb = std::move(nodes_[top.node]);

@@ -6,11 +6,10 @@
 // faults.
 //
 // Built for a hot steady state: the heap is a flat 4-ary array of POD
-// entries (shallower than a binary heap, and each level shares a cache
-// line), callbacks live in small-buffer storage inside pooled nodes (no
-// std::function, no per-event heap allocation), and popped nodes are
-// recycled through a free list. After warm-up, scheduling and running
-// events never touches the allocator.
+// entries (src/sim/flat_heap.h), callbacks live in small-buffer storage
+// inside pooled nodes (no std::function, no per-event heap allocation),
+// and popped nodes are recycled through a free list. After warm-up,
+// scheduling and running events never touches the allocator.
 #ifndef LEAP_SRC_SIM_EVENT_QUEUE_H_
 #define LEAP_SRC_SIM_EVENT_QUEUE_H_
 
@@ -129,15 +128,14 @@ class EventQueue {
     uint32_t node;
   };
 
-  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
-  }
+  struct Earlier {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
+  };
 
   uint32_t AcquireNode(Callback cb);
   void ReleaseNode(uint32_t node);
-  void SiftUp(size_t i);
-  void SiftDown(size_t i);
-  void PopTop();
 
   std::vector<HeapEntry> heap_;  // flat 4-ary min-heap on (when, seq)
   std::vector<Callback> nodes_;

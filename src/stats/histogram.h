@@ -1,8 +1,15 @@
 // Log-bucketed latency histogram (HdrHistogram-style).
 //
-// Records values in [1 ns, ~18 s] with bounded relative error, answers
+// Records any uint64_t value with bounded relative error, answers
 // percentile queries, and accumulates count/sum for means. Used for every
 // latency series reported by the benchmark harness.
+//
+// Values below 64 get one bucket each; above that, each power of two
+// splits into 64 equal buckets, so relative error stays under ~1.6%. The
+// bucket array is allocated on demand: it starts empty and grows
+// geometrically to cover the highest bucket recorded or merged, so a
+// histogram of sub-millisecond latencies needs at most 960 buckets instead
+// of the full 3776. Buckets past the allocated extent read as zero.
 #ifndef LEAP_SRC_STATS_HISTOGRAM_H_
 #define LEAP_SRC_STATS_HISTOGRAM_H_
 
@@ -14,9 +21,13 @@ namespace leap {
 
 class Histogram {
  public:
-  // `sub_bucket_bits` sub-buckets per power of two; 6 bits keeps relative
-  // error under ~1.6%.
-  explicit Histogram(int sub_bucket_bits = 6);
+  // Linear sub-buckets per power of two: 2^kSubBucketBits.
+  static constexpr int kSubBucketBits = 6;
+  static constexpr uint64_t kSubBucketCount = 1ULL << kSubBucketBits;
+  // Bucket count that covers every uint64_t (the identity range, then one
+  // group per power of two from 2^kSubBucketBits to 2^63).
+  static constexpr size_t kMaxBuckets =
+      (64 - kSubBucketBits + 1) * kSubBucketCount;
 
   void Record(uint64_t value);
   void RecordN(uint64_t value, uint64_t count);
@@ -35,14 +46,15 @@ class Histogram {
   double FractionAtOrBelow(uint64_t value) const;
 
   void Merge(const Histogram& other);
+  // Clears the samples; keeps the allocated buckets.
   void Reset();
 
  private:
-  size_t BucketIndex(uint64_t value) const;
-  uint64_t BucketMidpoint(size_t index) const;
+  static size_t BucketIndex(uint64_t value);
+  static uint64_t BucketMidpoint(size_t index);
+  // Grows buckets_ (geometrically, capped at kMaxBuckets) to hold `index`.
+  void Grow(size_t index);
 
-  int sub_bucket_bits_;
-  uint64_t sub_bucket_count_;
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
   double sum_ = 0.0;

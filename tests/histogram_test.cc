@@ -127,5 +127,67 @@ TEST(Histogram, MonotonePercentiles) {
   }
 }
 
+TEST(Histogram, HugeValueAfterSmallValues) {
+  Histogram h;
+  for (uint64_t v = 1; v <= 99; ++v) {
+    h.Record(v * 10);
+  }
+  h.Record(1ULL << 63);
+  EXPECT_EQ(h.count(), 100u);
+  EXPECT_EQ(h.Max(), 1ULL << 63);
+  EXPECT_LE(h.Percentile(0.5), 520u);
+  EXPECT_EQ(h.Percentile(1.0), 1ULL << 63);  // midpoint clamps to Max
+  EXPECT_DOUBLE_EQ(h.FractionAtOrBelow(1000), 0.99);
+  EXPECT_DOUBLE_EQ(h.FractionAtOrBelow(~0ULL), 1.0);
+}
+
+TEST(Histogram, QueriesPastTheRecordedRange) {
+  // Only small values recorded: buckets for larger ones were never
+  // allocated and must read as zero.
+  Histogram h;
+  for (uint64_t v = 100; v < 200; ++v) {
+    h.Record(v);
+  }
+  EXPECT_DOUBLE_EQ(h.FractionAtOrBelow(1ULL << 40), 1.0);
+  EXPECT_DOUBLE_EQ(h.FractionAtOrBelow(~0ULL), 1.0);
+  EXPECT_DOUBLE_EQ(h.FractionAtOrBelow(50), 0.0);
+  EXPECT_LE(h.Percentile(1.0), 199u);
+  EXPECT_GE(h.Percentile(0.0), 100u);
+}
+
+TEST(Histogram, CopyThenRecordLeavesTheOriginal) {
+  Histogram a;
+  a.Record(300);
+  Histogram b = a;
+  b.Record(5'000'000);  // grows b's buckets, not a's
+  EXPECT_EQ(a.count(), 1u);
+  EXPECT_EQ(a.Max(), 300u);
+  EXPECT_DOUBLE_EQ(a.FractionAtOrBelow(1000), 1.0);
+  EXPECT_EQ(b.count(), 2u);
+  EXPECT_DOUBLE_EQ(b.FractionAtOrBelow(1000), 0.5);
+  EXPECT_GT(b.Percentile(1.0), 4'900'000u);
+}
+
+TEST(Histogram, ResetThenRecordMatchesAFreshHistogram) {
+  Histogram h;
+  for (uint64_t v = 1; v <= 1000; ++v) {
+    h.Record(v * 1'000'000);
+  }
+  h.Reset();
+  Histogram fresh;
+  for (uint64_t v = 1; v <= 200; ++v) {
+    h.Record(v * 7);
+    fresh.Record(v * 7);
+  }
+  EXPECT_EQ(h.count(), fresh.count());
+  EXPECT_EQ(h.Min(), fresh.Min());
+  EXPECT_EQ(h.Max(), fresh.Max());
+  EXPECT_DOUBLE_EQ(h.Sum(), fresh.Sum());
+  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(h.Percentile(q), fresh.Percentile(q)) << "q=" << q;
+  }
+  EXPECT_DOUBLE_EQ(h.FractionAtOrBelow(1'000'000), 1.0);
+}
+
 }  // namespace
 }  // namespace leap

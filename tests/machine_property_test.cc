@@ -28,6 +28,8 @@ std::string TupleName(const ::testing::TestParamInfo<ConfigTuple>& info) {
     case PrefetchKind::kReadAhead: name += "ReadAhead"; break;
     case PrefetchKind::kGhb: name += "Ghb"; break;
     case PrefetchKind::kLeap: name += "LeapPf"; break;
+    case PrefetchKind::kOnlineDelta: name += "OnlineDelta"; break;
+    case PrefetchKind::kProfileGuided: name += "ProfileGuided"; break;
   }
   name += eviction == EvictionKind::kLazyLru ? "Lazy" : "Eager";
   return name;
@@ -125,9 +127,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Medium::kHdd, Medium::kSsd, Medium::kRemote),
         ::testing::Values(PathKind::kDefault, PathKind::kLeap),
-        ::testing::Values(PrefetchKind::kNone, PrefetchKind::kNextNLine,
-                          PrefetchKind::kStride, PrefetchKind::kReadAhead,
-                          PrefetchKind::kGhb, PrefetchKind::kLeap),
+        ::testing::ValuesIn(kAllPrefetchKinds),
         ::testing::Values(EvictionKind::kLazyLru, EvictionKind::kEagerLeap)),
     TupleName);
 

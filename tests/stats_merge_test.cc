@@ -81,8 +81,13 @@ void ExpectHistogramEq(const Histogram& a, const Histogram& b) {
   EXPECT_DOUBLE_EQ(a.Sum(), b.Sum());
   EXPECT_EQ(a.Min(), b.Min());
   EXPECT_EQ(a.Max(), b.Max());
-  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
     EXPECT_EQ(a.Percentile(q), b.Percentile(q)) << "q=" << q;
+  }
+  for (int bit = 0; bit < 64; bit += 3) {
+    const uint64_t v = (1ULL << bit) + 17;
+    EXPECT_DOUBLE_EQ(a.FractionAtOrBelow(v), b.FractionAtOrBelow(v))
+        << "v=" << v;
   }
 }
 
@@ -113,6 +118,33 @@ TEST(HistogramMergeTest, MergeEqualsSingleAccumulator) {
   swapped.Merge(shard[0]);
   swapped.Merge(shard[1]);
   ExpectHistogramEq(swapped, all);
+}
+
+TEST(HistogramMergeTest, ShortAndLongMergeEitherWay) {
+  // `short_range` allocates a few hundred buckets, `long_range` over two
+  // thousand; merging in either direction must equal one accumulator.
+  Rng rng(7);
+  Histogram all;
+  Histogram short_range;
+  Histogram long_range;
+  for (int i = 0; i < 5000; ++i) {
+    const uint64_t small = 1 + rng.NextU64() % 2000;
+    // Below 2^40, so the double Sum stays exact in any merge order.
+    const uint64_t shift = 24 + rng.NextU64() % 40;
+    const uint64_t large = rng.NextU64() >> shift;
+    all.Record(small);
+    all.Record(large);
+    short_range.Record(small);
+    long_range.Record(large);
+  }
+
+  Histogram long_into_short = short_range;
+  long_into_short.Merge(long_range);
+  ExpectHistogramEq(long_into_short, all);
+
+  Histogram short_into_long = long_range;
+  short_into_long.Merge(short_range);
+  ExpectHistogramEq(short_into_long, all);
 }
 
 TEST(HistogramMergeTest, MergeWithEmptyIsIdentity) {
