@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/core/leap.h"
+#include "src/mem/page_cache.h"
 #include "src/sim/rng.h"
 
 namespace leap {
@@ -101,16 +102,21 @@ void BM_ProcessTrackerFault(benchmark::State& state) {
 }
 BENCHMARK(BM_ProcessTrackerFault);
 
+// Eager eviction's bookkeeping: prefetched pages join the page cache's
+// unhit list, half are consumed, and the oldest unhit page is reclaimed
+// once more than 1024 are waiting.
 void BM_EagerFifoListOps(benchmark::State& state) {
-  PrefetchFifoLruList list;
+  PageCache cache;
+  CacheEntry prefetched;
+  prefetched.prefetched = true;
   SwapSlot next = 0;
   for (auto _ : state) {
-    list.OnPrefetched(next);
+    cache.Insert(next, prefetched);
     if (next % 2 == 0) {
-      list.OnConsumed(next / 2);
+      cache.Remove(next / 2);
     }
-    if (list.size() > 1024) {
-      list.PopOldest();
+    if (cache.unhit_count() > 1024) {
+      cache.Remove(*cache.OldestUnhit());
     }
     ++next;
   }

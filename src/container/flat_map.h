@@ -79,6 +79,16 @@ class FlatMap {
 
   bool Contains(const K& key) const { return Find(key) != nullptr; }
 
+  // Array index of `key`, i.e. its rank in iteration order (ranks of
+  // different keys compare like their visit order); npos when absent.
+  // Valid until the next mutation, like Find.
+  static constexpr size_t npos = static_cast<size_t>(-1);
+  size_t PositionOf(const K& key) const {
+    const V* value = Find(key);
+    return value == nullptr ? npos
+                            : static_cast<size_t>(value - values_.data());
+  }
+
   // Inserts a default-constructed value if `key` is absent. Returns the
   // value slot and whether an insert happened.
   std::pair<V*, bool> Emplace(const K& key) {

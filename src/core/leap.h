@@ -8,7 +8,6 @@
 #define LEAP_SRC_CORE_LEAP_H_
 
 #include "src/core/access_history.h"
-#include "src/core/eager_eviction.h"
 #include "src/core/leap_prefetcher.h"
 #include "src/core/majority.h"
 #include "src/core/params.h"

@@ -5,11 +5,26 @@
 // access racing an in-flight prefetch blocks for the residual latency
 // instead of re-issuing the read - the kernel's "page locked until read
 // completes" behavior.
+//
+// Besides the hash table, the cache threads two age lists through a node
+// slab, so background reclaim works on the entries it can act on instead
+// of walking the whole table (the per-state FIFO lists a kswapd scans from
+// the cold end):
+//  - unhit: prefetched entries not yet hit, in insertion order. Eager
+//    reclaim evicts from its oldest end, the prefetch cap reads its length,
+//    and TTL aging walks it from the oldest end until entries are too
+//    young to expire;
+//  - consumed: entries with first_hit_at != 0, lazy eviction's carcasses
+//    awaiting kswapd.
+// Insert, Remove and SetFirstHit keep both lists current; every operation
+// is allocation-free in steady state.
 #ifndef LEAP_SRC_MEM_PAGE_CACHE_H_
 #define LEAP_SRC_MEM_PAGE_CACHE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "src/container/flat_map.h"
 #include "src/mem/lru_list.h"
@@ -26,10 +41,16 @@ struct CacheEntry {
   // When the entry was inserted (for eviction-wait accounting, Figure 4).
   SimTimeNs added_at = 0;
   // First-hit time; 0 while unreferenced. Drives timeliness (Figure 10b)
-  // and the lazy-eviction waste measurement.
+  // and the lazy-eviction waste measurement. Set it on a cached entry only
+  // through PageCache::SetFirstHit, which moves it between the age lists.
   SimTimeNs first_hit_at = 0;
   // Dirty file page awaiting writeback (VFS mode only).
   bool dirty = false;
+  // The entry's node in the cache's age lists (kNoAgeNode while on
+  // neither). Owned by PageCache.
+  uint32_t age_node = kNoAgeNode;
+
+  static constexpr uint32_t kNoAgeNode = static_cast<uint32_t>(-1);
 };
 
 class PageCache {
@@ -43,6 +64,10 @@ class PageCache {
   // Removes the entry; returns it if present.
   std::optional<CacheEntry> Remove(SwapSlot slot);
 
+  // Records the first hit on `entry` (what Lookup(slot) returned) at `t`
+  // and moves it to the age list its new state belongs to.
+  void SetFirstHit(SwapSlot slot, CacheEntry* entry, SimTimeNs t);
+
   // Marks recency for cache-internal LRU eviction (used when the prefetch
   // cache itself is size-limited, Figure 12).
   void TouchLru(SwapSlot slot) { lru_.Touch(slot); }
@@ -51,17 +76,74 @@ class PageCache {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  // Walks all entries (order unspecified); used by reclaim scans and stats.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const auto& [slot, entry] : entries_) {
-      fn(slot, entry);
-    }
-  }
+  // --- age lists ------------------------------------------------------------
+
+  size_t unhit_count() const { return lists_[kUnhit].size; }
+  size_t consumed_count() const { return lists_[kConsumed].size; }
+  // The oldest prefetched entry not yet hit; nullopt when there is none.
+  std::optional<SwapSlot> OldestUnhit() const;
+
+  // A reclaim candidate and its position in the hash table's array order.
+  struct ScanPick {
+    size_t position = 0;
+    SwapSlot slot = kInvalidSlot;
+  };
+
+  // kswapd's candidate sets. Each fills `picks` with the first `limit`
+  // candidates in table order, sorted by that order: the slots, and the
+  // removal order, of a walk over the whole table that stops after `limit`
+  // matches - at a cost proportional to the list walked, not the table.
+  // Allocation-free once `picks` has capacity for `limit`.
+  //
+  // Candidates: every consumed entry.
+  void PickConsumed(size_t limit, std::vector<ScanPick>* picks) const;
+  // Candidates: the unhit entries added before `cutoff` (added_at <
+  // cutoff). The walk starts at the oldest and stops once added_at has
+  // passed the cutoff by more than the list's disorder (see
+  // unhit_disorder_), past which no later entry can qualify.
+  void PickUnhitAddedBefore(SimTimeNs cutoff, size_t limit,
+                            std::vector<ScanPick>* picks) const;
 
  private:
+  static constexpr uint32_t kNil = CacheEntry::kNoAgeNode;
+  enum ListId : size_t { kUnhit = 0, kConsumed = 1, kNumLists = 2 };
+
+  struct AgeNode {
+    SwapSlot slot = kInvalidSlot;
+    uint32_t older = kNil;
+    uint32_t newer = kNil;  // doubles as the free-list link
+  };
+  struct AgeList {
+    uint32_t oldest = kNil;
+    uint32_t newest = kNil;
+    size_t size = 0;
+  };
+
+  // The list an entry in this state belongs to; kNumLists for neither (an
+  // entry that was never prefetched and is not yet hit).
+  static ListId ListFor(const CacheEntry& entry);
+  // Appends `entry` (cached under `slot`) to the newest end of its list.
+  void Link(SwapSlot slot, CacheEntry* entry);
+  // Takes `entry` off list `id`, if it is on one.
+  void Unlink(CacheEntry* entry, ListId id);
+
+  void OfferPick(SwapSlot slot, size_t limit,
+                 std::vector<ScanPick>* picks) const;
+  static void FinishPicks(std::vector<ScanPick>* picks);
+
   FlatMap<SwapSlot, CacheEntry> entries_;
   LruList<SwapSlot> lru_;
+  std::vector<AgeNode> nodes_;  // slab; freed nodes are recycled
+  uint32_t free_nodes_ = kNil;
+  AgeList lists_[kNumLists];
+  // The latest added_at of any entry that joined the unhit list, and the
+  // most any joining entry's added_at fell short of it. Insertion order is
+  // added_at order up to this disorder: Machine::Access runs in
+  // non-decreasing time per app, but concurrent apps on one machine
+  // interleave by local time before their think time, so a later insert
+  // can carry a slightly earlier added_at.
+  SimTimeNs unhit_added_at_max_ = 0;
+  SimTimeNs unhit_disorder_ = 0;
 };
 
 }  // namespace leap

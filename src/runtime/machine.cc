@@ -129,7 +129,7 @@ FaultContext Machine::MakeFaultContext(Pid pid, SwapSlot slot,
   FaultContext ctx(pid, slot, now);
   ctx.free_frames = frames_.free_count();
   ctx.total_frames = config_.total_frames;
-  ctx.inflight_prefetches = unconsumed_prefetched_;
+  ctx.inflight_prefetches = cache_.unhit_count();
   if (host_agent_ != nullptr) {
     ctx.congestion = host_agent_->congestion_signals();
   }
@@ -151,7 +151,6 @@ CandidateVec Machine::GeneratePrefetches(const FaultContext& ctx) {
 void Machine::NotifyPrefetchIssued(Pid pid, SwapSlot slot, SimTimeNs ready_at,
                                    SimTimeNs now) {
   counters_.Add(counter::kPrefetchIssued);
-  ++unconsumed_prefetched_;
   if (trace_ != nullptr) {
     TraceEvent e;
     e.kind = TraceEventKind::kPrefetchIssued;
@@ -188,9 +187,6 @@ void Machine::NotifyPrefetchHit(Pid pid, SwapSlot slot,
     e.cls = IoClass::kPrefetch;
     trace_->Record(e);
   }
-  if (unconsumed_prefetched_ > 0) {
-    --unconsumed_prefetched_;
-  }
   // The policy sees the accessing process (the do_swap_page pid, matching
   // v1); the governor's accuracy ledger credits the tenant that ISSUED the
   // prefetch (entry.pid) - in VFS mode the shared page cache lets another
@@ -206,9 +202,6 @@ void Machine::NotifyPrefetchHit(Pid pid, SwapSlot slot,
 void Machine::NotifyPrefetchDropped(SwapSlot slot, const CacheEntry& entry) {
   if (!entry.prefetched || entry.first_hit_at != 0) {
     return;
-  }
-  if (unconsumed_prefetched_ > 0) {
-    --unconsumed_prefetched_;
   }
   if (trace_ != nullptr) {
     // The drop funnel carries no clock; the event is timestamped at the
@@ -258,59 +251,46 @@ void Machine::ScheduleKswapd(SimTimeNs at) {
   events_->ScheduleAt(at, [this](SimTimeNs when) { KswapdTick(when); });
 }
 
+// Passes 1 and 2 work from the page cache's age lists, so a tick costs
+// O(candidates), not O(cache size). A pass with more candidates than
+// budget takes the first `budget` in the cache's table order and removes
+// them in that order: which entries outlive an over-budget tick is part of
+// the simulated behaviour (pinned by tests/kswapd_budget_test.cc).
 void Machine::KswapdTick(SimTimeNs now) {
+  std::vector<PageCache::ScanPick>& picks = kswapd_scratch_;
   // Pass 1: retire consumed-but-lingering cache entries (lazy eviction's
   // background cleanup). Eager mode never accumulates these.
   size_t budget = config_.kswapd_scan_batch;
-  if (stale_count_ > 0) {
-    std::vector<SwapSlot>& to_free = kswapd_scratch_;
-    to_free.clear();
-    cache_.ForEach([&](SwapSlot slot, const CacheEntry& entry) {
-      if (entry.first_hit_at != 0 && to_free.size() < budget) {
-        to_free.push_back(slot);
-      }
-    });
-    for (SwapSlot slot : to_free) {
-      const auto entry = cache_.Remove(slot);
-      if (entry.has_value()) {
-        counters_.Add(counter::kLruScans);
-        eviction_wait_hist_.Record(now > entry->first_hit_at
-                                       ? now - entry->first_hit_at
-                                       : 0);
-        --stale_count_;
-        counters_.Add(counter::kEvictions);
-      }
+  if (stale_entries() > 0) {
+    cache_.PickConsumed(budget, &picks);
+    for (const PageCache::ScanPick& pick : picks) {
+      const auto entry = cache_.Remove(pick.slot);
+      counters_.Add(counter::kLruScans);
+      eviction_wait_hist_.Record(
+          now > entry->first_hit_at ? now - entry->first_hit_at : 0);
+      counters_.Add(counter::kEvictions);
     }
-    budget -= std::min(budget, to_free.size());
+    budget -= picks.size();
   }
 
   // Pass 2: inactive-list aging - unconsumed prefetched pages that have
   // gone unreferenced for prefetch_ttl_ns have cycled to the inactive tail
-  // and are reclaimed as pollution.
-  if (config_.prefetch_ttl_ns != 0 && budget > 0) {
-    std::vector<SwapSlot>& expired = kswapd_scratch_;
-    expired.clear();
-    cache_.ForEach([&](SwapSlot slot, const CacheEntry& entry) {
-      if (entry.prefetched && entry.first_hit_at == 0 &&
-          now > entry.added_at + config_.prefetch_ttl_ns &&
-          expired.size() < budget) {
-        expired.push_back(slot);
+  // and are reclaimed as pollution (now > added_at + ttl).
+  if (config_.prefetch_ttl_ns != 0 && budget > 0 &&
+      now > config_.prefetch_ttl_ns) {
+    cache_.PickUnhitAddedBefore(now - config_.prefetch_ttl_ns, budget,
+                                &picks);
+    for (const PageCache::ScanPick& pick : picks) {
+      const auto entry = cache_.Remove(pick.slot);
+      UnchargeCacheEntry(*entry);
+      NotifyPrefetchDropped(pick.slot, *entry);
+      if (entry->pfn != kInvalidPfn) {
+        frames_.Free(entry->pfn);
       }
-    });
-    for (SwapSlot slot : expired) {
-      const auto entry = cache_.Remove(slot);
-      if (entry.has_value()) {
-        prefetch_fifo_.OnConsumed(slot);
-        UnchargeCacheEntry(*entry);
-        NotifyPrefetchDropped(slot, *entry);
-        if (entry->pfn != kInvalidPfn) {
-          frames_.Free(entry->pfn);
-        }
-        counters_.Add(counter::kEvictions);
-        counters_.Add(counter::kPrefetchUnused);
-      }
+      counters_.Add(counter::kEvictions);
+      counters_.Add(counter::kPrefetchUnused);
     }
-    budget -= std::min(budget, expired.size());
+    budget -= picks.size();
   }
 
   // Pass 3: keep free frames above the low watermark by evicting cold
@@ -332,13 +312,10 @@ bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
   SwapSlot victim = kInvalidSlot;
   if (config_.eviction == EvictionKind::kEagerLeap) {
     // Unconsumed prefetched pages leave FIFO (no history to rank them).
-    const auto oldest = prefetch_fifo_.PopOldest();
-    if (oldest.has_value()) {
-      victim = *oldest;
-    }
+    victim = cache_.OldestUnhit().value_or(kInvalidSlot);
   }
   if (victim == kInvalidSlot) {
-    // Lazy policy (or nothing in the FIFO): coldest cache entry overall.
+    // Lazy policy (or no unhit prefetch): coldest cache entry overall.
     // Skip consumed entries: they hold no frame.
     for (int tries = 0; tries < 64; ++tries) {
       const auto coldest = cache_.ColdestSlot();
@@ -357,7 +334,6 @@ bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
         eviction_wait_hist_.Record(now > removed->first_hit_at
                                        ? now - removed->first_hit_at
                                        : 0);
-        --stale_count_;
       }
       counters_.Add(counter::kLruScans);
     }
@@ -369,7 +345,6 @@ bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
   if (!entry.has_value()) {
     return false;
   }
-  prefetch_fifo_.OnConsumed(victim);  // drop any FIFO bookkeeping
   UnchargeCacheEntry(*entry);
   NotifyPrefetchDropped(victim, *entry);
   if (entry->pfn != kInvalidPfn) {
@@ -385,7 +360,7 @@ bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
 SimTimeNs Machine::AllocateFrame(SimTimeNs now, Pfn* pfn) {
   // Allocation cost scales with the stale cache population the scan must
   // wade through - the waste Leap's eager eviction removes.
-  const size_t scanned = std::min(stale_count_, config_.alloc_scan_cap);
+  const size_t scanned = std::min(stale_entries(), config_.alloc_scan_cap);
   SimTimeNs cost = config_.alloc_base_ns +
                    static_cast<SimTimeNs>(scanned) *
                        config_.alloc_scan_per_entry_ns;
@@ -437,14 +412,12 @@ SimTimeNs Machine::EvictColdestOf(Pid pid, SimTimeNs now) {
   // semantics) so a later fault cannot hit stale state.
   const auto cached = cache_.Remove(slot);
   if (cached.has_value()) {
-    prefetch_fifo_.OnConsumed(slot);
     UnchargeCacheEntry(*cached);
     NotifyPrefetchDropped(slot, *cached);
     if (cached->pfn != kInvalidPfn) {
       frames_.Free(cached->pfn);
     }
     if (cached->first_hit_at != 0) {
-      --stale_count_;
       eviction_wait_hist_.Record(now > cached->first_hit_at
                                      ? now - cached->first_hit_at
                                      : 0);
@@ -477,14 +450,10 @@ void Machine::OnPageDirtied(Pid pid, Vpn vpn) {
   }
   const auto entry = cache_.Remove(*slot);
   if (entry.has_value()) {
-    prefetch_fifo_.OnConsumed(*slot);
     UnchargeCacheEntry(*entry);
     NotifyPrefetchDropped(*slot, *entry);
     if (entry->pfn != kInvalidPfn) {
       frames_.Free(entry->pfn);
-    }
-    if (entry->first_hit_at != 0 && stale_count_ > 0) {
-      --stale_count_;
     }
   }
   swap_.ReleaseSlot(pid, vpn);
@@ -518,7 +487,7 @@ void Machine::EnforcePrefetchCacheLimit(size_t incoming, SimTimeNs now) {
     return;
   }
   // Count unconsumed prefetched entries against the cap.
-  while (prefetch_fifo_.size() + incoming >
+  while (cache_.unhit_count() + incoming >
          config_.prefetch_cache_limit_pages) {
     if (!ReclaimOneCacheVictim(now)) {
       break;
@@ -592,9 +561,6 @@ void Machine::InsertPrefetchEntries(Pid pid, std::span<const SwapSlot> slots,
       // possible Hit/Dropped.
       frames_.Free(pfn);
       continue;
-    }
-    if (config_.eviction == EvictionKind::kEagerLeap) {
-      prefetch_fifo_.OnPrefetched(slots[i]);
     }
     NotifyPrefetchIssued(pid, slots[i], ready_at[i], now);
   }
@@ -673,9 +639,7 @@ SimTimeNs Machine::IssueMiss(Pid pid, SwapSlot demand_slot, SimTimeNs now,
     entry.ready_at = demand_ready;
     entry.added_at = now;
     entry.first_hit_at = demand_ready;
-    if (cache_.Insert(demand_slot, entry)) {
-      ++stale_count_;
-    }
+    cache_.Insert(demand_slot, entry);
   }
 
   return demand_ready;
@@ -692,7 +656,7 @@ void Machine::ConsumeCacheEntry(SwapSlot slot, Pid pid, Vpn vpn, bool write,
   // (MapPage re-charges below).
   UnchargeCacheEntry(*entry);
   if (first_hit) {
-    entry->first_hit_at = now;
+    cache_.SetFirstHit(slot, entry, now);
     if (entry->prefetched) {
       NotifyPrefetchHit(pid, slot, *entry, now);
     }
@@ -700,15 +664,12 @@ void Machine::ConsumeCacheEntry(SwapSlot slot, Pid pid, Vpn vpn, bool write,
   const Pfn pfn = entry->pfn;
   if (config_.eviction == EvictionKind::kEagerLeap) {
     // Eager: free the cache entry the moment the page table is updated.
-    prefetch_fifo_.OnConsumed(slot);
     cache_.Remove(slot);
     counters_.Add(counter::kEagerFrees);
   } else {
-    // Lazy: the entry lingers (frame ownership moves to the process).
+    // Lazy: the entry lingers (frame ownership moves to the process) on
+    // the cache's consumed list until kswapd retires it.
     entry->pfn = kInvalidPfn;
-    if (first_hit) {
-      ++stale_count_;
-    }
   }
   if (pfn != kInvalidPfn) {
     MapPage(pid, vpn, pfn, write, now);
@@ -771,7 +732,6 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
     // unmapped it and the carcass was not yet collected). Treat as a miss
     // after dropping the stale entry.
     cache_.Remove(slot);
-    --stale_count_;
   }
 
   counters_.Add(counter::kCacheMisses);
@@ -804,7 +764,6 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
       }
       const auto removed = cache_.Remove(*coldest);
       if (removed.has_value()) {
-        prefetch_fifo_.OnConsumed(*coldest);
         NotifyPrefetchDropped(*coldest, *removed);
         if (removed->pfn != kInvalidPfn) {
           frames_.Free(removed->pfn);
@@ -828,12 +787,9 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
     const SimTimeNs hit_cost = data_path_->CacheHitCost(rng_);
     const bool first_hit = entry->first_hit_at == 0;
     if (first_hit) {
-      entry->first_hit_at = now;
+      cache_.SetFirstHit(slot, entry, now);
       if (entry->prefetched) {
         NotifyPrefetchHit(pid, slot, *entry, now);
-        if (config_.eviction == EvictionKind::kEagerLeap) {
-          prefetch_fifo_.OnConsumed(slot);
-        }
       }
     }
     policy_->OnCacheAccess(pid, slot);
@@ -917,9 +873,6 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
       continue;
     }
     NotifyPrefetchIssued(pid, batch[i].slot, ready[i], now);
-    if (config_.eviction == EvictionKind::kEagerLeap) {
-      prefetch_fifo_.OnPrefetched(batch[i].slot);
-    }
   }
   evict_if_over_limit();
   const SimTimeNs io_latency = demand_ready > now ? demand_ready - now : 0;

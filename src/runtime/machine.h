@@ -191,13 +191,17 @@ class Machine {
   TieredStore* tiered_store() { return tiered_store_.get(); }
   const TieredStore* tiered_store() const { return tiered_store_.get(); }
   size_t cache_size() const { return cache_.size(); }
-  size_t stale_entries() const { return stale_count_; }
+  // Consumed cache entries awaiting kswapd (lazy eviction's carcasses);
+  // VFS-mode hits keep their frame and are not counted.
+  size_t stale_entries() const {
+    return config_.vfs_mode ? 0 : cache_.consumed_count();
+  }
   size_t free_frames() const { return frames_.free_count(); }
   size_t resident_pages(Pid pid) const;
   bool IsResident(Pid pid, Vpn vpn) const;
   SwapManager& swap() { return swap_; }
   // Prefetched cache pages not yet hit (what FaultContext reports).
-  size_t unconsumed_prefetched() const { return unconsumed_prefetched_; }
+  size_t unconsumed_prefetched() const { return cache_.unhit_count(); }
   // Fault-trace recording hook for the offline profile pass: when set,
   // every policy-visible paging event (cache miss and remote-path cache
   // hit) is appended to `sink` in access order. Observation-only - no
@@ -217,6 +221,9 @@ class Machine {
 
   void DrainEvents(SimTimeNs now);
   void ScheduleKswapd(SimTimeNs at);
+  // One kswapd wakeup: retire consumed cache carcasses, expire prefetches
+  // unhit for prefetch_ttl_ns, then refill free frames to the high
+  // watermark; the three passes share a budget of kswapd_scan_batch.
   void KswapdTick(SimTimeNs now);
 
   ProcessState& Proc(Pid pid) {
@@ -314,8 +321,6 @@ class Machine {
   FramePool frames_;
   PageCache cache_;
   SwapManager swap_;
-  PrefetchFifoLruList prefetch_fifo_;  // eager policy bookkeeping
-  size_t stale_count_ = 0;             // consumed entries awaiting kswapd
 
   std::vector<std::unique_ptr<RemoteAgent>> remote_nodes_;  // owned donors
   std::unique_ptr<HostAgent> host_agent_;
@@ -330,8 +335,6 @@ class Machine {
   std::unique_ptr<DataPath> data_path_;
   std::unique_ptr<PrefetchPolicy> policy_;
   std::unique_ptr<BudgetGovernor> governor_;  // null when disabled
-  // Prefetched cache pages not yet hit (FaultContext::inflight_prefetches).
-  size_t unconsumed_prefetched_ = 0;
   // Profile-pass recording sink (null = off; see SetFaultTraceSink).
   FaultTrace* fault_sink_ = nullptr;
 
@@ -339,9 +342,9 @@ class Machine {
   // (Proc() references are held across container mutations).
   FlatMap<Pid, std::unique_ptr<ProcessState>> processes_;
   Pid next_pid_ = 1;
-  // kswapd scan scratch, reused every tick so background reclaim stays
+  // kswapd pick scratch, reused every tick so background reclaim stays
   // allocation-free (bounded by kswapd_scan_batch).
-  std::vector<SwapSlot> kswapd_scratch_;
+  std::vector<PageCache::ScanPick> kswapd_scratch_;
   // High-water mark of file pages seen in VFS mode (the simulated isize).
   SwapSlot vfs_file_pages_ = 0;
 

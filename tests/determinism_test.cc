@@ -10,11 +10,10 @@
 //
 //  2. Zero allocation: steady-state Machine::Access performs no heap
 //     allocation - local hits and cache hits always, and misses once the
-//     scratch buffers and table capacities have warmed up. Verified with a
-//     global operator-new hook.
-#include <cstdlib>
+//     scratch buffers and table capacities have warmed up, under both
+//     eviction policies. Verified with the counting operator-new hook of
+//     tests/alloc_hook.h.
 #include <map>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -24,29 +23,7 @@
 #include "src/runtime/machine.h"
 #include "src/runtime/presets.h"
 #include "src/workload/patterns.h"
-
-// --- global allocation hook -------------------------------------------------
-
-namespace {
-// Not atomic: the simulator is single-threaded, and gtest does not allocate
-// concurrently with the measured region.
-size_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+#include "tests/alloc_hook.h"
 
 namespace leap {
 namespace {
@@ -163,8 +140,10 @@ TEST(Determinism, DiskSwapPath) {
 
 // --- zero-allocation steady state -------------------------------------------
 
-TEST(ZeroAlloc, SteadyStateAccessDoesNotAllocate) {
-  Machine machine(LeapVmmConfig(kFrames, 42));
+// Warms `config` up to steady state on a sequential sweep, then checks that
+// local hits, cache hits and misses allocate nothing.
+void ExpectSteadyStateAccessDoesNotAllocate(const MachineConfig& config) {
+  Machine machine(config);
   const Pid pid = machine.CreateProcess(kFootprint / 2);
   SimTimeNs now = WarmUp(machine, pid, kFootprint) + 10 * kNsPerMs;
 
@@ -218,6 +197,19 @@ TEST(ZeroAlloc, SteadyStateAccessDoesNotAllocate) {
   EXPECT_EQ(hit_allocs, 0u) << "cache-hit Access allocated";
   EXPECT_EQ(local_allocs, 0u) << "local-hit Access allocated";
   EXPECT_EQ(miss_allocs, 0u) << "steady-state miss Access allocated";
+}
+
+TEST(ZeroAlloc, SteadyStateAccessDoesNotAllocate) {
+  ExpectSteadyStateAccessDoesNotAllocate(LeapVmmConfig(kFrames, 42));
+}
+
+// Lazy eviction: kswapd retires consumed entries (its pass 1) throughout
+// the measured region; eager eviction leaves it none to retire.
+TEST(ZeroAlloc, SteadyStateLazyEvictionAccessDoesNotAllocate) {
+  const MachineConfig config =
+      DefaultVmmConfig(PrefetchKind::kReadAhead, kFrames, 42);
+  ASSERT_EQ(config.eviction, EvictionKind::kLazyLru);
+  ExpectSteadyStateAccessDoesNotAllocate(config);
 }
 
 }  // namespace

@@ -145,6 +145,28 @@ TEST(FlatMap, IterationOrderIsDeterministic) {
   EXPECT_EQ(keys_a, keys_b);
 }
 
+TEST(FlatMap, PositionOfRanksKeysInIterationOrder) {
+  FlatMap<uint64_t, int> map;
+  for (uint64_t i = 0; i < 300; ++i) {
+    map[i * 7919] = static_cast<int>(i);
+  }
+  for (uint64_t i = 0; i < 300; i += 4) {
+    map.Erase(i * 7919);
+  }
+  size_t last = 0;
+  bool first = true;
+  for (const auto& [k, v] : map) {
+    const size_t pos = map.PositionOf(k);
+    ASSERT_NE(pos, (FlatMap<uint64_t, int>::npos));
+    if (!first) {
+      EXPECT_GT(pos, last);
+    }
+    last = pos;
+    first = false;
+  }
+  EXPECT_EQ(map.PositionOf(1), (FlatMap<uint64_t, int>::npos));
+}
+
 TEST(FlatMap, MoveOnlyValues) {
   FlatMap<int, std::unique_ptr<std::string>> map;
   map[1] = std::make_unique<std::string>("one");

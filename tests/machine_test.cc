@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/runtime/presets.h"
+#include "src/sim/rng.h"
 
 namespace leap {
 namespace {
@@ -155,6 +156,33 @@ TEST(Machine, PrefetchCacheLimitEnforced) {
       EXPECT_LE(machine.cache_size(), 24u);  // limit + in-flight slack
     }
   }
+}
+
+// The cap counts the cache's unconsumed prefetches in both eviction modes:
+// lazy eviction reclaims them LRU-first instead of letting read-ahead
+// pollution pile up past the cap.
+TEST(Machine, PrefetchCacheLimitHoldsUnderLazyEviction) {
+  MachineConfig config = SmallDefaultConfig();
+  ASSERT_EQ(config.eviction, EvictionKind::kLazyLru);
+  config.prefetch_cache_limit_pages = 8;
+  Machine machine(config);
+  const Pid pid = machine.CreateProcess(64);
+  SimTimeNs now = 0;
+  for (Vpn v = 0; v < 512; ++v) {
+    now += 20000;
+    machine.Access(pid, v, true, now);
+  }
+  // Scattered re-accesses: each miss reads ahead pages that go unused.
+  Rng rng(3);
+  size_t max_unconsumed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    now += 20000;
+    machine.Access(pid, rng.NextU64(512), false, now);
+    max_unconsumed = std::max(max_unconsumed, machine.unconsumed_prefetched());
+  }
+  EXPECT_GT(machine.counters().Get(counter::kPrefetchIssued), 100u);
+  EXPECT_GT(max_unconsumed, 0u);
+  EXPECT_LE(max_unconsumed, 8u);
 }
 
 TEST(Machine, GlobalPressureReclaimsViaDirectReclaim) {

@@ -1,4 +1,8 @@
 // Memory substrate: frame pool, page table, LRU list, page cache, cgroup.
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/mem/cgroup.h"
@@ -241,14 +245,188 @@ TEST(PageCache, LruEvictionOrder) {
   EXPECT_EQ(cache.ColdestSlot(), 1u);
 }
 
-TEST(PageCache, ForEachVisitsAll) {
+CacheEntry PrefetchedAt(SimTimeNs added_at) {
+  CacheEntry entry;
+  entry.prefetched = true;
+  entry.added_at = added_at;
+  return entry;
+}
+
+CacheEntry ConsumedAt(SimTimeNs first_hit_at) {
+  CacheEntry entry;
+  entry.first_hit_at = first_hit_at;
+  return entry;
+}
+
+std::vector<SwapSlot> Slots(const std::vector<PageCache::ScanPick>& picks) {
+  std::vector<SwapSlot> slots;
+  for (const PageCache::ScanPick& pick : picks) {
+    slots.push_back(pick.slot);
+  }
+  return slots;
+}
+
+std::vector<SwapSlot> SortedSlots(
+    const std::vector<PageCache::ScanPick>& picks) {
+  std::vector<SwapSlot> slots = Slots(picks);
+  std::sort(slots.begin(), slots.end());
+  return slots;
+}
+
+std::vector<SwapSlot> DrainUnhitOldestFirst(PageCache& cache) {
+  std::vector<SwapSlot> drained;
+  while (const auto oldest = cache.OldestUnhit()) {
+    drained.push_back(*oldest);
+    cache.Remove(*oldest);
+  }
+  return drained;
+}
+
+TEST(PageCache, PicksVisitEveryListedEntry) {
   PageCache cache;
   for (SwapSlot s = 0; s < 10; ++s) {
-    cache.Insert(s, CacheEntry{});
+    cache.Insert(s, s % 2 == 0 ? PrefetchedAt(s) : ConsumedAt(100 + s));
   }
-  size_t visited = 0;
-  cache.ForEach([&](SwapSlot, const CacheEntry&) { ++visited; });
-  EXPECT_EQ(visited, 10u);
+  cache.Insert(10, CacheEntry{});  // never prefetched, not yet hit: no list
+  EXPECT_EQ(cache.unhit_count(), 5u);
+  EXPECT_EQ(cache.consumed_count(), 5u);
+  std::vector<PageCache::ScanPick> picks;
+  cache.PickConsumed(cache.size(), &picks);
+  EXPECT_EQ(SortedSlots(picks), (std::vector<SwapSlot>{1, 3, 5, 7, 9}));
+  cache.PickUnhitAddedBefore(1000, cache.size(), &picks);
+  EXPECT_EQ(SortedSlots(picks), (std::vector<SwapSlot>{0, 2, 4, 6, 8}));
+}
+
+TEST(PageCache, FirstHitMovesEntryToConsumedList) {
+  PageCache cache;
+  cache.Insert(1, PrefetchedAt(10));
+  cache.Insert(2, PrefetchedAt(20));
+  EXPECT_EQ(cache.unhit_count(), 2u);
+  EXPECT_EQ(cache.consumed_count(), 0u);
+  cache.SetFirstHit(1, cache.Lookup(1), 30);
+  EXPECT_EQ(cache.Lookup(1)->first_hit_at, 30u);
+  EXPECT_EQ(cache.unhit_count(), 1u);
+  EXPECT_EQ(cache.consumed_count(), 1u);
+  EXPECT_EQ(cache.OldestUnhit(), 2u);
+  std::vector<PageCache::ScanPick> picks;
+  cache.PickConsumed(4, &picks);
+  EXPECT_EQ(Slots(picks), (std::vector<SwapSlot>{1}));
+  // A demand entry that was not hit at insertion joins on its first hit.
+  cache.Insert(3, CacheEntry{});
+  cache.SetFirstHit(3, cache.Lookup(3), 40);
+  EXPECT_EQ(cache.consumed_count(), 2u);
+  EXPECT_EQ(cache.unhit_count(), 1u);
+}
+
+TEST(PageCache, RemoveUnlinksFromEitherList) {
+  PageCache cache;
+  cache.Insert(1, PrefetchedAt(10));
+  cache.Insert(2, PrefetchedAt(20));
+  cache.Insert(3, ConsumedAt(25));
+  cache.Insert(4, ConsumedAt(26));
+  ASSERT_TRUE(cache.Remove(1).has_value());
+  ASSERT_TRUE(cache.Remove(4).has_value());
+  EXPECT_EQ(cache.unhit_count(), 1u);
+  EXPECT_EQ(cache.consumed_count(), 1u);
+  EXPECT_EQ(cache.OldestUnhit(), 2u);
+  std::vector<PageCache::ScanPick> picks;
+  cache.PickConsumed(4, &picks);
+  EXPECT_EQ(Slots(picks), (std::vector<SwapSlot>{3}));
+  ASSERT_TRUE(cache.Remove(2).has_value());
+  ASSERT_TRUE(cache.Remove(3).has_value());
+  EXPECT_EQ(cache.unhit_count(), 0u);
+  EXPECT_EQ(cache.consumed_count(), 0u);
+  EXPECT_FALSE(cache.OldestUnhit().has_value());
+}
+
+TEST(PageCache, UnhitListKeepsInsertionOrder) {
+  PageCache cache;
+  // Slots inserted out of key order, hits and removals in between.
+  const std::vector<SwapSlot> order = {50, 7, 33, 2, 91, 14, 60};
+  for (size_t i = 0; i < order.size(); ++i) {
+    cache.Insert(order[i], PrefetchedAt(100 * i));
+  }
+  cache.SetFirstHit(33, cache.Lookup(33), 1000);
+  cache.Remove(91);
+  cache.Insert(5, PrefetchedAt(2000));
+  std::vector<PageCache::ScanPick> picks;
+  cache.PickUnhitAddedBefore(300, 8, &picks);
+  EXPECT_EQ(SortedSlots(picks), (std::vector<SwapSlot>{7, 50}));
+  EXPECT_EQ(DrainUnhitOldestFirst(cache),
+            (std::vector<SwapSlot>{50, 7, 2, 14, 60, 5}));
+}
+
+// Apps sharing a machine interleave by local time before their think
+// time, so an insert can carry an earlier added_at than the one before
+// it. The age cutoff must still find every old-enough entry, and the
+// list keeps insertion order for eager reclaim.
+TEST(PageCache, AgeCutoffToleratesOutOfOrderInserts) {
+  PageCache cache;
+  const std::vector<std::pair<SwapSlot, SimTimeNs>> inserts = {
+      {1, 100}, {2, 50}, {3, 200}, {4, 60}, {5, 300}, {6, 290}, {7, 400}};
+  for (const auto& [slot, added_at] : inserts) {
+    cache.Insert(slot, PrefetchedAt(added_at));
+  }
+  std::vector<PageCache::ScanPick> picks;
+  cache.PickUnhitAddedBefore(70, 8, &picks);
+  EXPECT_EQ(SortedSlots(picks), (std::vector<SwapSlot>{2, 4}));
+  cache.PickUnhitAddedBefore(295, 8, &picks);
+  EXPECT_EQ(SortedSlots(picks), (std::vector<SwapSlot>{1, 2, 3, 4, 6}));
+  cache.PickUnhitAddedBefore(0, 8, &picks);
+  EXPECT_TRUE(picks.empty());
+  EXPECT_EQ(DrainUnhitOldestFirst(cache),
+            (std::vector<SwapSlot>{1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(PageCache, PicksFollowTableOrderAndStopAtTheLimit) {
+  PageCache cache;
+  for (SwapSlot s = 0; s < 300; ++s) {
+    cache.Insert(s * 7919, ConsumedAt(1 + s));
+  }
+  std::vector<PageCache::ScanPick> all;
+  cache.PickConsumed(cache.size(), &all);
+  ASSERT_EQ(all.size(), 300u);
+  for (size_t i = 1; i < all.size(); ++i) {
+    EXPECT_LT(all[i - 1].position, all[i].position);
+  }
+  // A limited pick is the same prefix of table order, not the oldest
+  // entries: it is what a table walk that stops at the limit collects.
+  std::vector<PageCache::ScanPick> first;
+  cache.PickConsumed(17, &first);
+  ASSERT_EQ(first.size(), 17u);
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].slot, all[i].slot);
+    EXPECT_EQ(first[i].position, all[i].position);
+  }
+  cache.PickConsumed(0, &first);
+  EXPECT_TRUE(first.empty());
+}
+
+TEST(PageCache, CountsTrackChurn) {
+  PageCache cache;
+  size_t unhit = 0;
+  size_t consumed = 0;
+  for (SwapSlot s = 0; s < 2000; ++s) {
+    cache.Insert(s, PrefetchedAt(s));
+    ++unhit;
+    if (s % 3 == 0) {
+      cache.SetFirstHit(s, cache.Lookup(s), 1 + s);
+      --unhit;
+      ++consumed;
+    }
+    if (s % 5 == 0 && s >= 10) {
+      const auto removed = cache.Remove(s - 10);
+      ASSERT_TRUE(removed.has_value());
+      if (removed->first_hit_at != 0) {
+        --consumed;
+      } else {
+        --unhit;
+      }
+    }
+    ASSERT_EQ(cache.unhit_count(), unhit);
+    ASSERT_EQ(cache.consumed_count(), consumed);
+  }
+  EXPECT_EQ(unhit + consumed, cache.size());
 }
 
 // --- Cgroup ------------------------------------------------------------------

@@ -9,8 +9,6 @@
 //     performs zero heap allocations, same as the un-instrumented machine
 //     (pinned by determinism_test). Observability must not reintroduce
 //     what PR 1 removed from the hot path.
-#include <cstdlib>
-#include <new>
 
 #include <gtest/gtest.h>
 
@@ -19,27 +17,7 @@
 #include "src/runtime/machine.h"
 #include "src/runtime/presets.h"
 #include "src/workload/patterns.h"
-
-// --- global allocation hook -------------------------------------------------
-// Same pattern as determinism_test: each test binary gets its own override,
-// so the two hooks never collide. Not atomic - the simulator is
-// single-threaded and gtest does not allocate concurrently with the body.
-namespace {
-size_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+#include "tests/alloc_hook.h"
 
 namespace leap {
 namespace {

@@ -14,11 +14,9 @@
 //     signals) and feedback for never-issued slots must not crash.
 //  5. Same seed => bit-identical candidate streams across two full runs.
 //  6. Steady-state OnFault is allocation-free for the non-learned kinds
-//     (checked with the same global operator-new hook determinism_test
-//     uses; the learned kinds may grow their tables).
-#include <cstdlib>
+//     (checked with the counting operator-new hook of tests/alloc_hook.h;
+//     the learned kinds may grow their tables).
 #include <map>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -29,27 +27,7 @@
 #include "src/runtime/machine.h"
 #include "src/runtime/presets.h"
 #include "src/workload/patterns.h"
-
-// --- global allocation hook -------------------------------------------------
-
-namespace {
-size_t g_alloc_count = 0;
-}  // namespace
-
-void* operator new(size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+#include "tests/alloc_hook.h"
 
 namespace leap {
 namespace {
