@@ -14,8 +14,9 @@
 //    reclaim evicts from its oldest end, the prefetch cap reads its length,
 //    and TTL aging walks it from the oldest end until entries are too
 //    young to expire;
-//  - consumed: entries with first_hit_at != 0, lazy eviction's carcasses
-//    awaiting kswapd.
+//  - consumed: entries with first_hit_at != 0: lazy eviction's carcasses
+//    awaiting kswapd, and in VFS mode the hit pages, which keep their
+//    frame.
 // Insert, Remove and SetFirstHit keep both lists current; every operation
 // is allocation-free in steady state.
 #ifndef LEAP_SRC_MEM_PAGE_CACHE_H_
@@ -51,6 +52,12 @@ struct CacheEntry {
   uint32_t age_node = kNoAgeNode;
 
   static constexpr uint32_t kNoAgeNode = static_cast<uint32_t>(-1);
+
+  // A consumed entry whose frame went to the mapping process (lazy
+  // eviction): it holds no page. A VFS-mode page keeps its frame once hit.
+  bool is_carcass() const {
+    return first_hit_at != 0 && pfn == kInvalidPfn;
+  }
 };
 
 class PageCache {

@@ -281,20 +281,13 @@ void Machine::KswapdTick(SimTimeNs now) {
     cache_.PickUnhitAddedBefore(now - config_.prefetch_ttl_ns, budget,
                                 &picks);
     for (const PageCache::ScanPick& pick : picks) {
-      const auto entry = cache_.Remove(pick.slot);
-      UnchargeCacheEntry(*entry);
-      NotifyPrefetchDropped(pick.slot, *entry);
-      if (entry->pfn != kInvalidPfn) {
-        frames_.Free(entry->pfn);
-      }
-      counters_.Add(counter::kEvictions);
-      counters_.Add(counter::kPrefetchUnused);
+      ReleaseCacheVictim(pick.slot, *cache_.Remove(pick.slot), now);
     }
     budget -= picks.size();
   }
 
   // Pass 3: keep free frames above the low watermark by evicting cold
-  // unconsumed cache pages.
+  // cache pages.
   const size_t low = static_cast<size_t>(
       config_.low_watermark * static_cast<double>(config_.total_frames));
   const size_t high = static_cast<size_t>(
@@ -315,22 +308,22 @@ bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
     victim = cache_.OldestUnhit().value_or(kInvalidSlot);
   }
   if (victim == kInvalidSlot) {
-    // Lazy policy (or no unhit prefetch): coldest cache entry overall.
-    // Skip consumed entries: they hold no frame.
+    // Lazy policy (or no unhit prefetch): coldest cache entry that still
+    // holds its page. Consumed carcasses hold no frame; VFS-mode pages do.
     for (int tries = 0; tries < 64; ++tries) {
       const auto coldest = cache_.ColdestSlot();
       if (!coldest.has_value()) {
         return false;
       }
       const CacheEntry* entry = cache_.Lookup(*coldest);
-      if (entry != nullptr && entry->first_hit_at == 0) {
+      if (entry != nullptr && !entry->is_carcass()) {
         victim = *coldest;
         break;
       }
-      // Consumed entry at the cold end: retire it (counts as lazy-eviction
-      // work) and continue searching.
+      // Carcass at the cold end: retire it (counts as lazy-eviction work)
+      // and continue searching.
       const auto removed = cache_.Remove(*coldest);
-      if (removed.has_value() && removed->first_hit_at != 0) {
+      if (removed.has_value()) {
         eviction_wait_hist_.Record(now > removed->first_hit_at
                                        ? now - removed->first_hit_at
                                        : 0);
@@ -345,16 +338,25 @@ bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
   if (!entry.has_value()) {
     return false;
   }
-  UnchargeCacheEntry(*entry);
-  NotifyPrefetchDropped(victim, *entry);
-  if (entry->pfn != kInvalidPfn) {
-    frames_.Free(entry->pfn);
+  ReleaseCacheVictim(victim, *entry, now);
+  return true;
+}
+
+void Machine::ReleaseCacheVictim(SwapSlot slot, const CacheEntry& entry,
+                                 SimTimeNs now) {
+  UnchargeCacheEntry(entry);
+  NotifyPrefetchDropped(slot, entry);
+  if (entry.pfn != kInvalidPfn) {
+    frames_.Free(entry.pfn);
+  }
+  if (entry.dirty) {
+    data_path_->WritePage(WritebackOp(slot, entry.pid, now), now, rng_);
+    counters_.Add(counter::kWritebacks);
   }
   counters_.Add(counter::kEvictions);
-  if (entry->prefetched && entry->first_hit_at == 0) {
+  if (entry.prefetched && entry.first_hit_at == 0) {
     counters_.Add(counter::kPrefetchUnused);
   }
-  return true;
 }
 
 SimTimeNs Machine::AllocateFrame(SimTimeNs now, Pfn* pfn) {
@@ -709,7 +711,7 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
   const SwapSlot slot = *existing_slot;
   if (CacheEntry* entry = cache_.Lookup(slot)) {
     cache_.TouchLru(slot);
-    if (entry->first_hit_at == 0 || entry->pfn != kInvalidPfn) {
+    if (!entry->is_carcass()) {
       const SimTimeNs hit_cost = data_path_->CacheHitCost(rng_);
       // The access tracker sees every do_swap_page, hits included.
       policy_->OnCacheAccess(pid, slot);
@@ -762,21 +764,8 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
       if (!coldest.has_value()) {
         break;
       }
-      const auto removed = cache_.Remove(*coldest);
-      if (removed.has_value()) {
-        NotifyPrefetchDropped(*coldest, *removed);
-        if (removed->pfn != kInvalidPfn) {
-          frames_.Free(removed->pfn);
-        }
-        if (removed->dirty) {
-          data_path_->WritePage(WritebackOp(*coldest, removed->pid, now),
-                                now, rng_);
-          counters_.Add(counter::kWritebacks);
-        }
-        counters_.Add(counter::kEvictions);
-        if (removed->prefetched && removed->first_hit_at == 0) {
-          counters_.Add(counter::kPrefetchUnused);
-        }
+      if (const auto removed = cache_.Remove(*coldest)) {
+        ReleaseCacheVictim(*coldest, *removed, now);
       }
     }
   };

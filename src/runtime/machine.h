@@ -191,8 +191,9 @@ class Machine {
   TieredStore* tiered_store() { return tiered_store_.get(); }
   const TieredStore* tiered_store() const { return tiered_store_.get(); }
   size_t cache_size() const { return cache_.size(); }
-  // Consumed cache entries awaiting kswapd (lazy eviction's carcasses);
-  // VFS-mode hits keep their frame and are not counted.
+  // Consumed cache entries awaiting kswapd (lazy eviction's carcasses).
+  // VFS-mode hits keep their frame: they are cache pages that reclaim
+  // evicts (writing back dirty ones), not carcasses, and are not counted.
   size_t stale_entries() const {
     return config_.vfs_mode ? 0 : cache_.consumed_count();
   }
@@ -238,17 +239,25 @@ class Machine {
   }
 
   // Allocates a frame, reclaiming if necessary; returns the CPU cost and
-  // sets `*pfn`. Reclaim preference: unconsumed cache victims, then the
-  // coldest mapped page of the largest process.
+  // sets `*pfn`. Reclaim preference: a cache victim, then the coldest
+  // mapped page of the largest process.
   SimTimeNs AllocateFrame(SimTimeNs now, Pfn* pfn);
 
   // Evicts the coldest mapped page of `pid` (cgroup reclaim). Returns CPU
   // cost; no-op (0) when the process has no resident pages.
   SimTimeNs EvictColdestOf(Pid pid, SimTimeNs now);
 
-  // Evicts one unconsumed cache entry per the eviction policy. Returns
-  // true when an entry was freed.
+  // Evicts one cache entry that holds its page: under eager eviction the
+  // oldest unhit prefetch, else the coldest non-carcass entry (an unhit
+  // prefetch or a VFS-mode page), retiring the carcasses it passes on the
+  // way. Returns true when an entry was evicted.
   bool ReclaimOneCacheVictim(SimTimeNs now);
+
+  // Releases `entry`, just removed from the cache as a reclaim victim: its
+  // memcg charge, its frame, a writeback when dirty, and the eviction and
+  // unused-prefetch counts.
+  void ReleaseCacheVictim(SwapSlot slot, const CacheEntry& entry,
+                          SimTimeNs now);
 
   // Removes the cache entry for `slot` and hands its frame to (pid, vpn).
   // Handles eager-vs-lazy lifecycle, prefetch-hit accounting, and window

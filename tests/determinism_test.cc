@@ -13,15 +13,22 @@
 //     scratch buffers and table capacities have warmed up, under both
 //     eviction policies. Verified with the counting operator-new hook of
 //     tests/alloc_hook.h.
+//
+//  3. Hot-path golden: two long Leap VMM runs on the standard micro
+//     geometry end at pinned simulated times and counters, so a change to
+//     the fault path's behaviour cannot pass as a pure speed-up.
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.h"
 #include "src/runtime/app_runner.h"
 #include "src/runtime/machine.h"
 #include "src/runtime/presets.h"
+#include "src/sim/zipf.h"
 #include "src/workload/patterns.h"
 #include "tests/alloc_hook.h"
 
@@ -210,6 +217,63 @@ TEST(ZeroAlloc, SteadyStateLazyEvictionAccessDoesNotAllocate) {
       DefaultVmmConfig(PrefetchKind::kReadAhead, kFrames, 42);
   ASSERT_EQ(config.eviction, EvictionKind::kLazyLru);
   ExpectSteadyStateAccessDoesNotAllocate(config);
+}
+
+// --- hot-path golden ---------------------------------------------------------
+
+struct HotpathGolden {
+  SimTimeNs sim_end = 0;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t prefetch_hits = 0;
+
+  bool operator==(const HotpathGolden&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const HotpathGolden& g) {
+  return os << "{" << g.sim_end << "u, " << g.hits << "u, " << g.misses
+            << "u, " << g.prefetch_hits << "u}";
+}
+
+constexpr size_t kHotpathAccesses = 200'000 + 2'000'000;
+
+// The Leap VMM stack on the micro geometry (64k frames, 16k-page footprint,
+// cgroup at half of it): a sequential warm-up pass, then `vpns` as reads
+// at 750 ns think, driven straight through Machine::Access.
+HotpathGolden RunHotpath(const std::vector<Vpn>& vpns) {
+  Machine machine(LeapVmmConfig(bench::kMicroFrames, 42));
+  const Pid pid = machine.CreateProcess(bench::kMicroFootprintPages / 2);
+  SimTimeNs now =
+      WarmUp(machine, pid, bench::kMicroFootprintPages) + 10 * kNsPerMs;
+  for (Vpn vpn : vpns) {
+    now += 750;
+    now += machine.Access(pid, vpn, /*write=*/false, now).latency;
+  }
+  const Counters& c = machine.counters();
+  return {now, c.Get(counter::kCacheHits), c.Get(counter::kCacheMisses),
+          c.Get(counter::kPrefetchHits)};
+}
+
+TEST(HotpathGolden, Sequential) {
+  std::vector<Vpn> vpns(kHotpathAccesses);
+  for (size_t i = 0; i < vpns.size(); ++i) {
+    vpns[i] = i % bench::kMicroFootprintPages;
+  }
+  const HotpathGolden g = RunHotpath(vpns);
+  const HotpathGolden want{4078972059u, 1955478u, 244522u, 1955478u};
+  EXPECT_EQ(g, want) << g;
+}
+
+TEST(HotpathGolden, Zipf099) {
+  ZipfSampler zipf(bench::kMicroFootprintPages, 0.99);
+  Rng rng(7);
+  std::vector<Vpn> vpns(kHotpathAccesses);
+  for (Vpn& vpn : vpns) {
+    vpn = static_cast<Vpn>(zipf.Sample(rng));
+  }
+  const HotpathGolden g = RunHotpath(vpns);
+  const HotpathGolden want{3363729757u, 2u, 219214u, 2u};
+  EXPECT_EQ(g, want) << g;
 }
 
 }  // namespace

@@ -281,5 +281,37 @@ TEST(MachineVfs, SequentialReadsPrefetchWell) {
   EXPECT_GT(machine.counters().Get(counter::kPrefetchHits), 300u);
 }
 
+// With no cache limit, the VFS cache is bounded only by DRAM, so reclaim
+// must evict hit pages as well: in VFS mode they keep their frame. Every
+// frame is then either free or held by a cache entry, and evicting a dirty
+// page writes it back.
+void ExpectVfsReclaimConservesFrames(const MachineConfig& config) {
+  ASSERT_EQ(config.vfs_cache_limit_pages, 0u);
+  Machine machine(config);
+  const Pid pid = machine.CreateProcess(0);
+  Rng rng(9);
+  SimTimeNs now = 0;
+  for (int i = 0; i < 20000; ++i) {
+    now += 20000;
+    const Vpn vpn = rng.NextU64(2048);
+    now += machine.Access(pid, vpn, rng.NextBool(0.3), now).latency;
+    ASSERT_EQ(machine.free_frames() + machine.cache_size(),
+              config.total_frames)
+        << "after access " << i;
+  }
+  EXPECT_GT(machine.counters().Get(counter::kWritebacks), 0u);
+}
+
+TEST(MachineVfs, DefaultReclaimEvictsHitPagesWithoutLeakingFrames) {
+  ExpectVfsReclaimConservesFrames(
+      DefaultVfsConfig(PrefetchKind::kReadAhead, 256, /*vfs_cache_pages=*/0,
+                       5));
+}
+
+TEST(MachineVfs, LeapReclaimEvictsHitPagesWithoutLeakingFrames) {
+  ExpectVfsReclaimConservesFrames(
+      LeapVfsConfig(256, /*vfs_cache_pages=*/0, 5));
+}
+
 }  // namespace
 }  // namespace leap
