@@ -14,9 +14,10 @@
 //     eviction policies. Verified with the counting operator-new hook of
 //     tests/alloc_hook.h.
 //
-//  3. Hot-path golden: two long Leap VMM runs on the standard micro
-//     geometry end at pinned simulated times and counters, so a change to
-//     the fault path's behaviour cannot pass as a pure speed-up.
+//  3. Hot-path golden: three long VMM runs on the standard micro geometry
+//     (two read-only Leap runs, one default-path run with writes) end at
+//     pinned simulated times and counters, so a change to the fault or
+//     write path's behaviour cannot pass as a pure speed-up.
 #include <map>
 #include <ostream>
 #include <string>
@@ -237,21 +238,36 @@ std::ostream& operator<<(std::ostream& os, const HotpathGolden& g) {
 
 constexpr size_t kHotpathAccesses = 200'000 + 2'000'000;
 
-// The Leap VMM stack on the micro geometry (64k frames, 16k-page footprint,
-// cgroup at half of it): a sequential warm-up pass, then `vpns` as reads
-// at 750 ns think, driven straight through Machine::Access.
-HotpathGolden RunHotpath(const std::vector<Vpn>& vpns) {
-  Machine machine(LeapVmmConfig(bench::kMicroFrames, 42));
+struct HotpathOp {
+  Vpn vpn = 0;
+  bool write = false;
+};
+
+// A VMM stack on the micro geometry (64k frames, 16k-page footprint,
+// cgroup at half of it): a sequential warm-up pass, then `ops` at 750 ns
+// think, driven straight through Machine::Access.
+HotpathGolden RunHotpath(Machine& machine, const std::vector<HotpathOp>& ops) {
   const Pid pid = machine.CreateProcess(bench::kMicroFootprintPages / 2);
   SimTimeNs now =
       WarmUp(machine, pid, bench::kMicroFootprintPages) + 10 * kNsPerMs;
-  for (Vpn vpn : vpns) {
+  for (const HotpathOp& op : ops) {
     now += 750;
-    now += machine.Access(pid, vpn, /*write=*/false, now).latency;
+    now += machine.Access(pid, op.vpn, op.write, now).latency;
   }
   const Counters& c = machine.counters();
   return {now, c.Get(counter::kCacheHits), c.Get(counter::kCacheMisses),
           c.Get(counter::kPrefetchHits)};
+}
+
+// The Leap VMM stack, `vpns` as reads.
+HotpathGolden RunHotpath(const std::vector<Vpn>& vpns) {
+  std::vector<HotpathOp> ops;
+  ops.reserve(vpns.size());
+  for (Vpn vpn : vpns) {
+    ops.push_back({vpn, /*write=*/false});
+  }
+  Machine machine(LeapVmmConfig(bench::kMicroFrames, 42));
+  return RunHotpath(machine, ops);
 }
 
 TEST(HotpathGolden, Sequential) {
@@ -273,6 +289,44 @@ TEST(HotpathGolden, Zipf099) {
   }
   const HotpathGolden g = RunHotpath(vpns);
   const HotpathGolden want{3363729757u, 2u, 219214u, 2u};
+  EXPECT_EQ(g, want) << g;
+}
+
+// The write path: re-dirtying a swapped-in page releases its swap slot
+// (OnPageDirtied), and the candidate filter skips slots whose page is
+// mapped again. The fingerprint adds writebacks and the swap area's
+// high-water mark and live slot count to the fault-path counters.
+struct WriteHotpathGolden {
+  HotpathGolden path;
+  uint64_t writebacks = 0;
+  SwapSlot high_water = 0;
+  size_t allocated_slots = 0;
+
+  bool operator==(const WriteHotpathGolden&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const WriteHotpathGolden& g) {
+  return os << "{" << g.path << ", " << g.writebacks << "u, " << g.high_water
+            << "u, " << g.allocated_slots << "u}";
+}
+
+// Default VMM (read-ahead, lazy eviction), zipf-0.99 with 30% writes.
+TEST(HotpathGolden, DefaultZipfWrites) {
+  ZipfSampler zipf(bench::kMicroFootprintPages, 0.99);
+  Rng rng(11);
+  std::vector<HotpathOp> ops(kHotpathAccesses);
+  for (HotpathOp& op : ops) {
+    op.vpn = static_cast<Vpn>(zipf.Sample(rng));
+    op.write = rng.NextBool(0.3);
+  }
+  Machine machine(
+      DefaultVmmConfig(PrefetchKind::kReadAhead, bench::kMicroFrames, 42));
+  const HotpathGolden path = RunHotpath(machine, ops);
+  const WriteHotpathGolden g{path, machine.counters().Get(counter::kWritebacks),
+                             machine.swap().high_water(),
+                             machine.swap().allocated_slots()};
+  const WriteHotpathGolden want{
+      {11349942723u, 14783u, 243520u, 14783u}, 130562u, 130562u, 12259u};
   EXPECT_EQ(g, want) << g;
 }
 
