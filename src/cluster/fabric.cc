@@ -312,10 +312,6 @@ SimTimeNs Fabric::SubmitPageOp(const IoRequest& req, uint32_t node,
   return done;
 }
 
-double Fabric::MeanLatencyNs() const {
-  return static_cast<double>(config_.base_mean_ns + serialization_ns_);
-}
-
 StageBreakdown Fabric::Stages() const {
   StageBreakdown out;
   for (size_t c = 0; c < kIoClassCount; ++c) {

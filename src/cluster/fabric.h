@@ -127,17 +127,11 @@ class Fabric : public PageTransport {
   // ops already granted slots keep their completions (the simulation never
   // revises a returned time).
   void SetNodeSlowdown(uint32_t node, double factor);
-  double NodeSlowdown(uint32_t node) const {
-    return downlinks_[node % downlinks_.size()].slowdown;
-  }
   // Transient packet-delay spike: a flat extra latency on every op to this
   // node (reroute through a backup path, a microburst drop+retransmit).
   // Unlike the slowdown it does not consume link capacity - ops are late,
   // not queued. 0 clears it.
   void SetNodeExtraDelayNs(uint32_t node, SimTimeNs extra);
-  SimTimeNs NodeExtraDelayNs(uint32_t node) const {
-    return downlinks_[node % downlinks_.size()].extra_delay_ns;
-  }
 
   // Flight-recorder hook: when non-null, every page op records one
   // kFabricOp span with its stage decomposition. Null (the default) keeps
@@ -148,8 +142,6 @@ class Fabric : public PageTransport {
   size_t num_nodes() const { return downlinks_.size(); }
   SimTimeNs serialization_ns() const { return serialization_ns_; }
   std::string_view scheduler_name() const { return scheduler_->name(); }
-  // Uncontended expectation (base + one serialization), for reporting.
-  double MeanLatencyNs() const;
 
   // --- accounting ---------------------------------------------------------
   uint64_t ops() const { return ops_; }

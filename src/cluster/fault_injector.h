@@ -57,17 +57,6 @@ enum class FaultKind : uint8_t {
   kDelaySpike,  // flat extra latency toward the node
 };
 
-constexpr const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash: return "crash";
-    case FaultKind::kRecover: return "recover";
-    case FaultKind::kCrashGroup: return "crash_group";
-    case FaultKind::kGray: return "gray";
-    case FaultKind::kDelaySpike: return "delay_spike";
-  }
-  return "unknown";
-}
-
 struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
   std::vector<uint32_t> nodes;   // targets (1 entry except kCrashGroup)

@@ -1,7 +1,7 @@
 // Open-addressing robin-hood flat hash map.
 //
 // The simulator's steady-state access path is dominated by small-key map
-// lookups (page tables, the swap cache, swap-slot maps, LRU indexes).
+// lookups (page tables, the swap cache, LRU indexes).
 // std::unordered_map pays a pointer chase plus a heap allocation per node;
 // this map keeps keys, values, and probe metadata in three flat arrays, so
 // a lookup is one mix, one indexed load, and a short linear probe - and

@@ -1,12 +1,19 @@
-// O(1) LRU list keyed by (pid, vpn), the reclaim order for resident pages.
+// O(1) LRU lists, the reclaim order for resident and cached pages.
 //
-// kswapd (src/paging/kswapd) scans from the cold end, exactly like the
-// kernel walking the inactive list. Implemented as an intrusive doubly-
-// linked list threaded through a slab of pooled nodes (indices, not
-// pointers) with a FlatMap key index: a Touch in steady state is two map
-// probes and a few slab stores - no per-operation allocation, no pointer-
-// chased std::list nodes. Kept header-only: it is a small template used
-// with a handful of key types.
+// kswapd scans from the cold end, exactly like the kernel walking the
+// inactive list. Both lists are an intrusive doubly-linked list threaded
+// through a slab of pooled nodes (indices, not pointers): no per-operation
+// allocation, no pointer-chased std::list nodes.
+//
+//  - LruChain is the index-free core. Each entry is addressed by its
+//    handle (its node index), which the caller keeps: the process LRU
+//    stores it in the page's PTE, so a touch is a few slab stores and no
+//    lookup at all.
+//  - LruList adds a FlatMap key -> handle index for owners that address
+//    entries by key (the page cache and the tiered store): a Touch in
+//    steady state is one map probe plus the chain's slab stores.
+//
+// Kept header-only: small templates used with a handful of key types.
 #ifndef LEAP_SRC_MEM_LRU_LIST_H_
 #define LEAP_SRC_MEM_LRU_LIST_H_
 
@@ -17,59 +24,45 @@
 #include <vector>
 
 #include "src/container/flat_map.h"
-#include "src/sim/types.h"
 
 namespace leap {
 
-template <typename Key, typename Hash = std::hash<Key>>
-class LruList {
+template <typename Key>
+class LruChain {
  public:
-  // Inserts or refreshes `key` as most-recently-used. Each Touch bumps the
-  // entry's access count (saturating), the hotness signal the tier
-  // migrator's promotion scan reads via AccessCount/DecayCounts.
-  void Touch(const Key& key) {
-    auto [slot, inserted] = index_.Emplace(key);
-    if (!inserted) {
-      const uint32_t node = *slot;
-      if (nodes_[node].count < kCountMax) {
-        ++nodes_[node].count;
-      }
-      Unlink(node);
-      LinkFront(node);
-      return;
-    }
-    *slot = NewNode(key);
-    LinkFront(*slot);
+  using Handle = uint32_t;
+  static constexpr Handle kNoHandle = static_cast<Handle>(-1);
+
+  // Links a new entry for `key` as most-recently-used, with access count
+  // 1; returns its handle, valid until the entry is erased or popped.
+  Handle PushFront(const Key& key) {
+    const Handle idx = NewNode(key);
+    LinkFront(idx);
+    return idx;
   }
 
-  // Inserts `key` as most-recently-used only if absent (FIFO position is
-  // set once); returns true when inserted.
-  bool Insert(const Key& key) {
-    auto [slot, inserted] = index_.Emplace(key);
-    if (!inserted) {
-      return false;
+  // Moves `h` to the most-recently-used end and bumps its access count
+  // (saturating), the hotness signal the tier migrator's promotion scan
+  // reads via CountOf/DecayCounts.
+  void Touch(Handle h) {
+    if (nodes_[h].count < kCountMax) {
+      ++nodes_[h].count;
     }
-    *slot = NewNode(key);
-    LinkFront(*slot);
-    return true;
+    Unlink(h);
+    LinkFront(h);
   }
 
-  // Removes `key`; returns true if it was present.
-  bool Remove(const Key& key) {
-    const uint32_t* node = index_.Find(key);
-    if (node == nullptr) {
-      return false;
-    }
-    const uint32_t idx = *node;
-    index_.Erase(key);
-    Unlink(idx);
-    FreeNode(idx);
-    return true;
+  // Unlinks `h` and returns its node to the pool.
+  void Erase(Handle h) {
+    Unlink(h);
+    FreeNode(h);
   }
+
+  uint32_t CountOf(Handle h) const { return nodes_[h].count; }
 
   // Least-recently-used key, without removing it.
   std::optional<Key> Coldest() const {
-    if (tail_ == kNil) {
+    if (tail_ == kNoHandle) {
       return std::nullopt;
     }
     return nodes_[tail_].key;
@@ -77,23 +70,21 @@ class LruList {
 
   // Removes and returns the LRU key.
   std::optional<Key> PopColdest() {
-    if (tail_ == kNil) {
+    if (tail_ == kNoHandle) {
       return std::nullopt;
     }
-    const uint32_t idx = tail_;
+    const Handle idx = tail_;
     Key key = nodes_[idx].key;
-    index_.Erase(key);
-    Unlink(idx);
-    FreeNode(idx);
+    Erase(idx);
     return key;
   }
 
   // The n hottest keys, hottest first (the tier migrator's promotion
-  // scan walks the recency end and filters by AccessCount).
+  // scan walks the recency end and filters by access count).
   std::vector<Key> HottestN(size_t n) const {
     std::vector<Key> out;
     out.reserve(n < size_ ? n : size_);
-    for (uint32_t idx = head_; idx != kNil && out.size() < n;
+    for (Handle idx = head_; idx != kNoHandle && out.size() < n;
          idx = nodes_[idx].next) {
       out.push_back(nodes_[idx].key);
     }
@@ -104,62 +95,40 @@ class LruList {
   std::vector<Key> ColdestN(size_t n) const {
     std::vector<Key> out;
     out.reserve(n < size_ ? n : size_);
-    for (uint32_t idx = tail_; idx != kNil && out.size() < n;
+    for (Handle idx = tail_; idx != kNoHandle && out.size() < n;
          idx = nodes_[idx].prev) {
       out.push_back(nodes_[idx].key);
     }
     return out;
   }
 
-  bool Contains(const Key& key) const { return index_.Contains(key); }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-
-  // Accesses recorded for `key` since insertion (Insert/first Touch = 1;
-  // each later Touch adds 1, saturating at kCountMax). 0 when absent.
-  uint32_t AccessCount(const Key& key) const {
-    const uint32_t* node = index_.Find(key);
-    return node == nullptr ? 0 : nodes_[*node].count;
-  }
 
   // Halves every entry's access count (floor division) - the migrator's
   // periodic aging step, the same exponential decay HeMem-style kswapd
   // loops apply so stale heat drains instead of accumulating forever.
   // List order is untouched.
   void DecayCounts() {
-    for (uint32_t idx = head_; idx != kNil; idx = nodes_[idx].next) {
+    for (Handle idx = head_; idx != kNoHandle; idx = nodes_[idx].next) {
       nodes_[idx].count >>= 1;
     }
   }
 
-  // Drops all entries; the node slab is recycled, not deallocated.
-  void Clear() {
-    for (uint32_t idx = head_; idx != kNil;) {
-      const uint32_t next = nodes_[idx].next;
-      FreeNode(idx);
-      idx = next;
-    }
-    head_ = kNil;
-    tail_ = kNil;
-    size_ = 0;
-    index_.Clear();
-  }
-
  private:
-  static constexpr uint32_t kNil = static_cast<uint32_t>(-1);
   static constexpr uint32_t kCountMax = 0xFFFF;
 
   struct Node {
     Key key{};
-    uint32_t prev = kNil;
-    uint32_t next = kNil;
+    Handle prev = kNoHandle;
+    Handle next = kNoHandle;
     uint32_t count = 0;  // saturating access count (hot/cold signal)
   };
 
-  uint32_t NewNode(const Key& key) {
-    uint32_t idx;
+  Handle NewNode(const Key& key) {
+    Handle idx;
     if (free_.empty()) {
-      idx = static_cast<uint32_t>(nodes_.size());
+      idx = static_cast<Handle>(nodes_.size());
       nodes_.push_back(Node{});
     } else {
       idx = free_.back();
@@ -172,34 +141,34 @@ class LruList {
 
   // Returns a node slot to the free pool; list membership (and size_) is
   // Unlink's business.
-  void FreeNode(uint32_t idx) {
+  void FreeNode(Handle idx) {
     nodes_[idx].key = Key{};
     nodes_[idx].count = 0;
     free_.push_back(idx);
   }
 
-  void LinkFront(uint32_t idx) {
-    nodes_[idx].prev = kNil;
+  void LinkFront(Handle idx) {
+    nodes_[idx].prev = kNoHandle;
     nodes_[idx].next = head_;
-    if (head_ != kNil) {
+    if (head_ != kNoHandle) {
       nodes_[head_].prev = idx;
     }
     head_ = idx;
-    if (tail_ == kNil) {
+    if (tail_ == kNoHandle) {
       tail_ = idx;
     }
     ++size_;
   }
 
-  void Unlink(uint32_t idx) {
-    const uint32_t prev = nodes_[idx].prev;
-    const uint32_t next = nodes_[idx].next;
-    if (prev != kNil) {
+  void Unlink(Handle idx) {
+    const Handle prev = nodes_[idx].prev;
+    const Handle next = nodes_[idx].next;
+    if (prev != kNoHandle) {
       nodes_[prev].next = next;
     } else {
       head_ = next;
     }
-    if (next != kNil) {
+    if (next != kNoHandle) {
       nodes_[next].prev = prev;
     } else {
       tail_ = prev;
@@ -207,25 +176,59 @@ class LruList {
     --size_;
   }
 
-  std::vector<Node> nodes_;      // slab; front of list = hottest
-  std::vector<uint32_t> free_;   // recycled node indices
-  FlatMap<Key, uint32_t, Hash> index_;
-  uint32_t head_ = kNil;
-  uint32_t tail_ = kNil;
+  std::vector<Node> nodes_;    // slab; front of list = hottest
+  std::vector<Handle> free_;   // recycled node indices
+  Handle head_ = kNoHandle;
+  Handle tail_ = kNoHandle;
   size_t size_ = 0;
 };
 
-// Key for process-owned resident pages.
-struct PidVpn {
-  Pid pid;
-  Vpn vpn;
-  bool operator==(const PidVpn&) const = default;
-};
+template <typename Key, typename Hash = std::hash<Key>>
+class LruList : private LruChain<Key> {
+  using Chain = LruChain<Key>;
+  using Handle = typename Chain::Handle;
 
-struct PidVpnHash {
-  size_t operator()(const PidVpn& k) const {
-    return std::hash<uint64_t>()((static_cast<uint64_t>(k.pid) << 48) ^ k.vpn);
+ public:
+  using Chain::Coldest;
+  using Chain::ColdestN;
+  using Chain::DecayCounts;
+  using Chain::HottestN;
+  using Chain::size;
+
+  // Inserts or refreshes `key` as most-recently-used. Each Touch bumps the
+  // entry's access count (saturating); see LruChain::Touch.
+  void Touch(const Key& key) {
+    auto [handle, inserted] = index_.Emplace(key);
+    if (inserted) {
+      *handle = Chain::PushFront(key);
+    } else {
+      Chain::Touch(*handle);
+    }
   }
+
+  // Removes `key`; returns true if it was present.
+  bool Remove(const Key& key) {
+    const Handle* handle = index_.Find(key);
+    if (handle == nullptr) {
+      return false;
+    }
+    const Handle h = *handle;
+    index_.Erase(key);
+    Chain::Erase(h);
+    return true;
+  }
+
+  bool Contains(const Key& key) const { return index_.Contains(key); }
+
+  // Accesses recorded for `key` since insertion (Insert/first Touch = 1;
+  // each later Touch adds 1, saturating). 0 when absent.
+  uint32_t AccessCount(const Key& key) const {
+    const Handle* handle = index_.Find(key);
+    return handle == nullptr ? 0 : Chain::CountOf(*handle);
+  }
+
+ private:
+  FlatMap<Key, Handle, Hash> index_;
 };
 
 }  // namespace leap

@@ -1,53 +1,31 @@
 #include "src/paging/swap_manager.h"
 
+#include <cassert>
+#include <stdexcept>
+
 namespace leap {
 
-SwapSlot SwapManager::SlotFor(Pid pid, Vpn vpn) {
-  const uint64_t key = Key(pid, vpn);
-  if (const SwapSlot* existing = forward_.Find(key)) {
-    return *existing;
+SwapSlot SwapManager::Allocate(Pid pid) {
+  const SwapSlot slot = high_water();
+  if (slot >= capacity_) {
+    throw std::length_error("leap::SwapManager: swap area full");
   }
-  const SwapSlot slot = next_slot_++;
-  forward_[key] = slot;
-  reverse_[slot] = PidVpn{pid, vpn};
+  state_.push_back(SlotState::kSwappedOut);
+  ++allocated_;
   ++per_pid_slots_[pid];
   return slot;
+}
+
+void SwapManager::Release(Pid pid, SwapSlot slot) {
+  assert(StateOf(slot) != SlotState::kFree && SlotsOf(pid) > 0);
+  state_[slot] = SlotState::kFree;
+  --allocated_;
+  --per_pid_slots_[pid];
 }
 
 size_t SwapManager::SlotsOf(Pid pid) const {
   const uint64_t* count = per_pid_slots_.Find(pid);
   return count == nullptr ? 0 : static_cast<size_t>(*count);
-}
-
-void SwapManager::ReleaseSlot(Pid pid, Vpn vpn) {
-  const uint64_t key = Key(pid, vpn);
-  const SwapSlot* slot = forward_.Find(key);
-  if (slot == nullptr) {
-    return;
-  }
-  reverse_.Erase(*slot);
-  forward_.Erase(key);
-  if (uint64_t* count = per_pid_slots_.Find(pid)) {
-    if (*count > 0) {
-      --*count;
-    }
-  }
-}
-
-std::optional<SwapSlot> SwapManager::FindSlot(Pid pid, Vpn vpn) const {
-  const SwapSlot* slot = forward_.Find(Key(pid, vpn));
-  if (slot == nullptr) {
-    return std::nullopt;
-  }
-  return *slot;
-}
-
-std::optional<PidVpn> SwapManager::OwnerOf(SwapSlot slot) const {
-  const PidVpn* owner = reverse_.Find(slot);
-  if (owner == nullptr) {
-    return std::nullopt;
-  }
-  return *owner;
 }
 
 }  // namespace leap

@@ -21,12 +21,4 @@ uint64_t ClusterStats::ClassOps(IoClass cls) const {
   return total;
 }
 
-uint64_t ClusterStats::ClassBytes(IoClass cls) const {
-  uint64_t total = 0;
-  for (const LinkClassCounts& link : node_downlink_classes) {
-    total += link.bytes[static_cast<size_t>(cls)];
-  }
-  return total;
-}
-
 }  // namespace leap

@@ -107,9 +107,8 @@ struct ClusterStats {
   // Placement skew: max - min mapped slabs across nodes.
   size_t SlabImbalance() const;
 
-  // Convenience sums over one class across all downlinks.
+  // Convenience sum over one class across all downlinks.
   uint64_t ClassOps(IoClass cls) const;
-  uint64_t ClassBytes(IoClass cls) const;
 };
 
 }  // namespace leap

@@ -240,6 +240,16 @@ bool Machine::IsResident(Pid pid, Vpn vpn) const {
   return state != nullptr && (*state)->table.IsPresent(vpn);
 }
 
+std::optional<SwapSlot> Machine::SlotOf(Pid pid, Vpn vpn) const {
+  const auto* state = processes_.Find(pid);
+  const PageTableEntry* pte =
+      state == nullptr ? nullptr : (*state)->table.Find(vpn);
+  if (pte == nullptr || pte->slot == PageTableEntry::kNoSlot) {
+    return std::nullopt;
+  }
+  return pte->slot;
+}
+
 void Machine::DrainEvents(SimTimeNs now) {
   if (now > last_event_drain_) {
     events_->RunUntil(now);
@@ -281,7 +291,7 @@ void Machine::KswapdTick(SimTimeNs now) {
     cache_.PickUnhitAddedBefore(now - config_.prefetch_ttl_ns, budget,
                                 &picks);
     for (const PageCache::ScanPick& pick : picks) {
-      ReleaseCacheVictim(pick.slot, *cache_.Remove(pick.slot), now);
+      ReleaseCacheVictim(pick.slot, now);
     }
     budget -= picks.size();
   }
@@ -334,29 +344,35 @@ bool Machine::ReclaimOneCacheVictim(SimTimeNs now) {
       return false;
     }
   }
-  const auto entry = cache_.Remove(victim);
+  return ReleaseCacheVictim(victim, now);
+}
+
+std::optional<CacheEntry> Machine::DropCacheEntry(SwapSlot slot) {
+  std::optional<CacheEntry> entry = cache_.Remove(slot);
+  if (entry.has_value()) {
+    UnchargeCacheEntry(*entry);
+    NotifyPrefetchDropped(slot, *entry);
+    if (entry->pfn != kInvalidPfn) {
+      frames_.Free(entry->pfn);
+    }
+  }
+  return entry;
+}
+
+bool Machine::ReleaseCacheVictim(SwapSlot slot, SimTimeNs now) {
+  const std::optional<CacheEntry> entry = DropCacheEntry(slot);
   if (!entry.has_value()) {
     return false;
   }
-  ReleaseCacheVictim(victim, *entry, now);
-  return true;
-}
-
-void Machine::ReleaseCacheVictim(SwapSlot slot, const CacheEntry& entry,
-                                 SimTimeNs now) {
-  UnchargeCacheEntry(entry);
-  NotifyPrefetchDropped(slot, entry);
-  if (entry.pfn != kInvalidPfn) {
-    frames_.Free(entry.pfn);
-  }
-  if (entry.dirty) {
-    data_path_->WritePage(WritebackOp(slot, entry.pid, now), now, rng_);
+  if (entry->dirty) {
+    data_path_->WritePage(WritebackOp(slot, entry->pid, now), now, rng_);
     counters_.Add(counter::kWritebacks);
   }
   counters_.Add(counter::kEvictions);
-  if (entry.prefetched && entry.first_hit_at == 0) {
+  if (entry->prefetched && entry->first_hit_at == 0) {
     counters_.Add(counter::kPrefetchUnused);
   }
+  return true;
 }
 
 SimTimeNs Machine::AllocateFrame(SimTimeNs now, Pfn* pfn) {
@@ -404,74 +420,63 @@ SimTimeNs Machine::EvictColdestOf(Pid pid, SimTimeNs now) {
   if (!victim.has_value()) {
     return 0;
   }
-  const auto entry = proc.table.Unmap(*victim);
-  if (!entry.has_value()) {
-    return 0;
-  }
+  // The LRU holds exactly the present pages.
+  PageTableEntry& pte = *proc.table.Find(*victim);
+  pte.lru = LruChain<Vpn>::kNoHandle;
+  const Pfn pfn = proc.table.Unmap(pte);
   proc.cgroup.Uncharge();
-  const SwapSlot slot = swap_.SlotFor(pid, *victim);
-  // Drop any cache entry still keyed by this slot (delete_from_swap_cache
-  // semantics) so a later fault cannot hit stale state.
-  const auto cached = cache_.Remove(slot);
-  if (cached.has_value()) {
-    UnchargeCacheEntry(*cached);
-    NotifyPrefetchDropped(slot, *cached);
-    if (cached->pfn != kInvalidPfn) {
-      frames_.Free(cached->pfn);
-    }
-    if (cached->first_hit_at != 0) {
-      eviction_wait_hist_.Record(now > cached->first_hit_at
-                                     ? now - cached->first_hit_at
-                                     : 0);
-    }
+  // A page keeps its slot until it is re-dirtied (rewrite in place), like
+  // the kernel while a swap entry stays referenced.
+  if (pte.slot == PageTableEntry::kNoSlot) {
+    pte.slot = static_cast<uint32_t>(swap_.Allocate(pid));
+  } else {
+    swap_.SetOwnerResident(pte.slot, false);
+  }
+  const SwapSlot slot = pte.slot;
+  // Drop any cache entry still keyed by this slot so a later fault cannot
+  // hit stale state.
+  const auto cached = DropCacheEntry(slot);
+  if (cached.has_value() && cached->first_hit_at != 0) {
+    eviction_wait_hist_.Record(
+        now > cached->first_hit_at ? now - cached->first_hit_at : 0);
   }
   // Swap-out: dirty (or never-backed) pages go to the backing store
   // asynchronously; the device/NIC occupancy is modeled, the CPU moves on.
-  if (entry->dirty) {
+  if (pte.dirty) {
     data_path_->WritePage(EvictionWrite(slot, pid, now), now, rng_);
     counters_.Add(counter::kWritebacks);
     if (config_.medium == Medium::kRemote) {
       counters_.Add(counter::kRemoteWrites);
     }
   }
-  frames_.Free(entry->pfn);
+  frames_.Free(pfn);
   counters_.Add(counter::kEvictions);
   return config_.evict_cpu_ns;
 }
 
-void Machine::OnPageDirtied(Pid pid, Vpn vpn) {
+void Machine::OnPageDirtied(Pid pid, PageTableEntry& pte) {
   // swap_free semantics: a re-dirtied page's backing copy is stale; drop
   // any cache state keyed by the old slot and release it so the next
   // eviction allocates a fresh one.
-  if (config_.vfs_mode) {
+  if (pte.slot == PageTableEntry::kNoSlot) {
     return;
   }
-  const auto slot = swap_.FindSlot(pid, vpn);
-  if (!slot.has_value()) {
-    return;
-  }
-  const auto entry = cache_.Remove(*slot);
-  if (entry.has_value()) {
-    UnchargeCacheEntry(*entry);
-    NotifyPrefetchDropped(*slot, *entry);
-    if (entry->pfn != kInvalidPfn) {
-      frames_.Free(entry->pfn);
-    }
-  }
-  swap_.ReleaseSlot(pid, vpn);
+  DropCacheEntry(pte.slot);
+  swap_.Release(pid, pte.slot);
+  pte.slot = PageTableEntry::kNoSlot;
 }
 
 SimTimeNs Machine::MapPage(Pid pid, Vpn vpn, Pfn pfn, bool write,
                            SimTimeNs now) {
   ProcessState& proc = Proc(pid);
-  proc.table.Map(vpn, pfn);
-  if (PageTableEntry* pte = proc.table.Find(vpn)) {
-    pte->dirty = write;
-  }
+  PageTableEntry& pte = proc.table.Map(vpn, pfn);
+  pte.dirty = write;
   if (write) {
-    OnPageDirtied(pid, vpn);
+    OnPageDirtied(pid, pte);
+  } else if (pte.slot != PageTableEntry::kNoSlot) {
+    swap_.SetOwnerResident(pte.slot, true);
   }
-  proc.lru.Touch(vpn);
+  pte.lru = proc.lru.PushFront(vpn);
   proc.cgroup.Charge();
   SimTimeNs cost = 0;
   while (proc.cgroup.OverLimit()) {
@@ -519,11 +524,9 @@ CandidateVec Machine::FilterPrefetchCandidates(const CandidateVec& candidates,
     if (cache_.Lookup(slot) != nullptr) {
       continue;
     }
-    if (!config_.vfs_mode) {
-      auto owner = swap_.OwnerOf(slot);
-      if (owner.has_value() && IsResident(owner->pid, owner->vpn)) {
-        continue;
-      }
+    if (!config_.vfs_mode &&
+        swap_.StateOf(slot) == SwapManager::SlotState::kOwnerResident) {
+      continue;
     }
     // O(n^2) over <= kMaxPrefetchCandidates inline elements: cheaper than
     // any set, and still allocation-free.
@@ -685,20 +688,20 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
   }
 
   ProcessState& proc = Proc(pid);
-  if (PageTableEntry* pte = proc.table.Find(vpn)) {
+  PageTableEntry* pte = proc.table.Find(vpn);
+  if (pte != nullptr && pte->present()) {
     if (write && !pte->dirty) {
       pte->dirty = true;
-      OnPageDirtied(pid, vpn);
+      OnPageDirtied(pid, *pte);
     }
-    proc.lru.Touch(vpn);
+    proc.lru.Touch(pte->lru);
     return {AccessType::kLocalHit, config_.local_access_ns};
   }
 
   counters_.Add(counter::kPageFaults);
 
   // First touch: no backing copy exists yet anywhere.
-  const auto existing_slot = swap_.FindSlot(pid, vpn);
-  if (!existing_slot.has_value()) {
+  if (pte == nullptr || pte->slot == PageTableEntry::kNoSlot) {
     Pfn pfn = kInvalidPfn;
     SimTimeNs cost = AllocateFrame(now, &pfn);
     cost += config_.minor_fault_ns;
@@ -708,7 +711,7 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
     return {AccessType::kMinorFault, cost};
   }
 
-  const SwapSlot slot = *existing_slot;
+  const SwapSlot slot = pte->slot;
   if (CacheEntry* entry = cache_.Lookup(slot)) {
     cache_.TouchLru(slot);
     if (!entry->is_carcass()) {
@@ -764,9 +767,7 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
       if (!coldest.has_value()) {
         break;
       }
-      if (const auto removed = cache_.Remove(*coldest)) {
-        ReleaseCacheVictim(*coldest, *removed, now);
-      }
+      ReleaseCacheVictim(*coldest, now);
     }
   };
 

@@ -8,6 +8,7 @@
 #define LEAP_SRC_RUNTIME_MACHINE_H_
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -200,7 +201,11 @@ class Machine {
   size_t free_frames() const { return frames_.free_count(); }
   size_t resident_pages(Pid pid) const;
   bool IsResident(Pid pid, Vpn vpn) const;
+  // The swap slot recorded in (pid, vpn)'s PTE; nullopt when the page has
+  // no backing copy (never swapped out, or released on re-dirty).
+  std::optional<SwapSlot> SlotOf(Pid pid, Vpn vpn) const;
   SwapManager& swap() { return swap_; }
+  const SwapManager& swap() const { return swap_; }
   // Prefetched cache pages not yet hit (what FaultContext reports).
   size_t unconsumed_prefetched() const { return cache_.unhit_count(); }
   // Fault-trace recording hook for the offline profile pass: when set,
@@ -208,8 +213,6 @@ class Machine {
   // hit) is appended to `sink` in access order. Observation-only - no
   // machine behavior changes. Pass nullptr to stop recording.
   void SetFaultTraceSink(FaultTrace* sink) { fault_sink_ = sink; }
-  // Per-tenant footprint on the backing medium (remote slabs / swap).
-  size_t swapped_pages(Pid pid) const { return swap_.SlotsOf(pid); }
   // This machine's uplink id when cluster-wired (0 standalone).
   uint32_t host_id() const { return host_id_; }
 
@@ -217,7 +220,8 @@ class Machine {
   struct ProcessState {
     PageTable table;
     Cgroup cgroup;
-    LruList<Vpn> lru;  // resident pages, hottest first
+    // Resident pages, hottest first; each PTE holds its page's handle.
+    LruChain<Vpn> lru;
   };
 
   void DrainEvents(SimTimeNs now);
@@ -253,11 +257,14 @@ class Machine {
   // way. Returns true when an entry was evicted.
   bool ReclaimOneCacheVictim(SimTimeNs now);
 
-  // Releases `entry`, just removed from the cache as a reclaim victim: its
-  // memcg charge, its frame, a writeback when dirty, and the eviction and
-  // unused-prefetch counts.
-  void ReleaseCacheVictim(SwapSlot slot, const CacheEntry& entry,
-                          SimTimeNs now);
+  // delete_from_swap_cache: removes the cache entry for `slot`, if any,
+  // with its memcg charge and its frame; returns the removed entry.
+  std::optional<CacheEntry> DropCacheEntry(SwapSlot slot);
+
+  // Evicts the cache entry for `slot` as a reclaim victim: drops it, writes
+  // it back when dirty, and counts the eviction and an unused prefetch.
+  // Returns false when no entry was cached.
+  bool ReleaseCacheVictim(SwapSlot slot, SimTimeNs now);
 
   // Removes the cache entry for `slot` and hands its frame to (pid, vpn).
   // Handles eager-vs-lazy lifecycle, prefetch-hit accounting, and window
@@ -288,7 +295,8 @@ class Machine {
   // the policy and governor see each unconsumed prefetch exactly once.
   void NotifyPrefetchDropped(SwapSlot slot, const CacheEntry& entry);
 
-  // Maps (pid, vpn) -> pfn, charging the cgroup and enforcing its limit.
+  // Maps the non-present (pid, vpn) to pfn, charging the cgroup and
+  // enforcing its limit.
   // Returns the CPU cost of any synchronous cgroup reclaim triggered.
   SimTimeNs MapPage(Pid pid, Vpn vpn, Pfn pfn, bool write, SimTimeNs now);
 
@@ -308,9 +316,9 @@ class Machine {
                              SimTimeNs now);
   void UnchargeCacheEntry(const CacheEntry& entry);
 
-  // swap_free on re-dirty: releases the page's swap slot and drops cache
-  // state keyed by it.
-  void OnPageDirtied(Pid pid, Vpn vpn);
+  // swap_free on re-dirty: releases the page's swap slot, if it has one,
+  // and drops cache state keyed by it.
+  void OnPageDirtied(Pid pid, PageTableEntry& pte);
 
   // Enforces the prefetch-cache cap before inserting `incoming` pages.
   void EnforcePrefetchCacheLimit(size_t incoming, SimTimeNs now);

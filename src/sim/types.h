@@ -42,10 +42,6 @@ constexpr SwapSlot kInvalidSlot = static_cast<SwapSlot>(-1);
 // This is the unit stored in Leap's AccessHistory (paper section 4.1).
 using PageDelta = int64_t;
 
-inline size_t PagesForBytes(size_t bytes) {
-  return (bytes + kPageSize - 1) / kPageSize;
-}
-
 // Hard cap on prefetch candidates generated for a single fault, across all
 // prefetchers. Window/degree knobs are clamped to this at construction, so
 // per-fault candidate lists fit in fixed scratch storage and a prefetch

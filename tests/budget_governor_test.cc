@@ -167,11 +167,11 @@ TEST(BudgetGovernor, PerTenantIsolationStormCollapsesAccurateSurvives) {
 // the moment it calms.
 TEST(BudgetGovernor, FootprintShareCeilingBindsOnlyUnderCongestion) {
   SwapManager swap;
-  for (Vpn v = 0; v < 10; ++v) {
-    swap.SlotFor(/*pid=*/1, v);  // small tenant: 10 slots
+  for (int i = 0; i < 10; ++i) {
+    swap.Allocate(/*pid=*/1);  // small tenant: 10 slots
   }
-  for (Vpn v = 0; v < 990; ++v) {
-    swap.SlotFor(/*pid=*/2, v);  // large tenant: 99% of the footprint
+  for (int i = 0; i < 990; ++i) {
+    swap.Allocate(/*pid=*/2);  // large tenant: 99% of the footprint
   }
   BudgetGovernor gov(TestConfig(), &swap);
   SimTimeNs now = 0;

@@ -3,7 +3,11 @@
 // must preserve a set of structural invariants, regardless of workload.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/runtime/app_runner.h"
 #include "src/runtime/machine.h"
@@ -91,6 +95,86 @@ TEST_P(MachineMatrixTest, AccountingInvariantsHoldUnderMixedWorkload) {
   // Frames never leak beyond capacity.
   EXPECT_LE(machine.cache_size() + machine.resident_pages(pid),
             machine.config().total_frames + 64);
+}
+
+// Walks every page of each process's footprint through the slot in its
+// PTE and checks the swap area against the page tables: no two pages
+// share a slot, a slot reads "owner resident" exactly when its page is
+// mapped, and the per-tenant and total slot counts match the walk.
+::testing::AssertionResult SlotsMatchPageTables(const Machine& machine,
+                                                const std::vector<Pid>& pids,
+                                                size_t footprint) {
+  const SwapManager& swap = machine.swap();
+  std::map<SwapSlot, std::pair<Pid, Vpn>> owners;
+  size_t total = 0;
+  for (Pid pid : pids) {
+    size_t held = 0;
+    for (Vpn vpn = 0; vpn < footprint; ++vpn) {
+      const std::optional<SwapSlot> slot = machine.SlotOf(pid, vpn);
+      if (!slot.has_value()) {
+        continue;
+      }
+      ++held;
+      const auto [it, fresh] = owners.emplace(*slot, std::pair{pid, vpn});
+      if (!fresh) {
+        return ::testing::AssertionFailure()
+               << "slot " << *slot << " held by pid " << it->second.first
+               << " vpn " << it->second.second << " and pid " << pid
+               << " vpn " << vpn;
+      }
+      const SwapManager::SlotState state = swap.StateOf(*slot);
+      const bool resident = machine.IsResident(pid, vpn);
+      if (state == SwapManager::SlotState::kFree ||
+          (state == SwapManager::SlotState::kOwnerResident) != resident) {
+        return ::testing::AssertionFailure()
+               << "slot " << *slot << " of pid " << pid << " vpn " << vpn
+               << " has state " << static_cast<int>(state)
+               << ", page resident: " << resident;
+      }
+    }
+    if (held != swap.SlotsOf(pid)) {
+      return ::testing::AssertionFailure()
+             << "pid " << pid << " holds " << held << " slots, SlotsOf says "
+             << swap.SlotsOf(pid);
+    }
+    total += held;
+  }
+  if (total != swap.allocated_slots()) {
+    return ::testing::AssertionFailure()
+           << total << " slots in page tables, allocated_slots() says "
+           << swap.allocated_slots();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Two tenants with writes under both cgroup and global pressure: pages are
+// swapped out, faulted back, re-dirtied (releasing their slots) and
+// reclaimed from the fattest process, and the slots in the PTEs stay
+// consistent with the swap area throughout.
+TEST_P(MachineMatrixTest, SwapSlotsMatchPageTables) {
+  MachineConfig config = MakeConfig();
+  config.total_frames = 768;  // below the two cgroups' sum: direct reclaim
+  Machine machine(config);
+  constexpr size_t kPages = 2048;
+  const std::vector<Pid> pids = {machine.CreateProcess(512),
+                                 machine.CreateProcess(384)};
+  auto graph = MakePowerGraph(kPages, 3);
+  auto cache = MakeMemcached(kPages, 4);
+  Rng rng(6);
+  SimTimeNs now = 0;
+  for (int i = 1; i <= 20000; ++i) {
+    const bool first = i % 2 == 0;
+    const MemOp op = (first ? graph : cache)->Next(rng);
+    now += op.think_ns;
+    now += machine.Access(pids[first ? 0 : 1], op.vpn, op.write, now).latency;
+    if (i % 2500 == 0) {
+      ASSERT_TRUE(SlotsMatchPageTables(machine, pids, kPages))
+          << "after access " << i;
+    }
+  }
+  EXPECT_GT(machine.swap().allocated_slots(), 0u);
+  EXPECT_GT(machine.swap().high_water(), machine.swap().allocated_slots())
+      << "the workload must re-dirty swapped-in pages";
 }
 
 TEST_P(MachineMatrixTest, DeterministicReplay) {

@@ -60,18 +60,39 @@ TEST(FramePool, IsAllocatedTracksState) {
 TEST(PageTable, MapFindUnmap) {
   PageTable table;
   EXPECT_FALSE(table.IsPresent(10));
-  table.Map(10, 3);
+  EXPECT_EQ(table.Find(10), nullptr);
+  PageTableEntry& entry = table.Map(10, 3);
+  EXPECT_EQ(entry.pfn, 3u);
   ASSERT_TRUE(table.IsPresent(10));
   EXPECT_EQ(table.Find(10)->pfn, 3u);
-  const auto removed = table.Unmap(10);
-  ASSERT_TRUE(removed.has_value());
-  EXPECT_EQ(removed->pfn, 3u);
+  EXPECT_EQ(table.Unmap(*table.Find(10)), 3u);
   EXPECT_FALSE(table.IsPresent(10));
 }
 
-TEST(PageTable, UnmapMissingReturnsNullopt) {
+TEST(PageTable, UnmapNotPresentReturnsInvalidPfn) {
   PageTable table;
-  EXPECT_FALSE(table.Unmap(5).has_value());
+  PageTableEntry& entry = table.Map(5, 1);
+  table.Unmap(entry);
+  EXPECT_EQ(table.Unmap(*table.Find(5)), kInvalidPfn);
+  EXPECT_EQ(table.resident_pages(), 0u);
+}
+
+// A swapped-out page keeps its entry: the slot (and the dirty bit) stay,
+// only the frame is cleared; mapping it again keeps the slot.
+TEST(PageTable, UnmapKeepsTheSlot) {
+  PageTable table;
+  PageTableEntry& entry = table.Map(7, 4);
+  EXPECT_EQ(entry.slot, PageTableEntry::kNoSlot);
+  entry.dirty = true;
+  table.Unmap(entry);
+  entry.slot = 12;
+  const PageTableEntry* kept = table.Find(7);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_FALSE(kept->present());
+  EXPECT_EQ(kept->slot, 12u);
+  EXPECT_TRUE(kept->dirty);
+  EXPECT_EQ(table.Map(7, 9).slot, 12u);
+  EXPECT_TRUE(table.IsPresent(7));
 }
 
 TEST(PageTable, DirtyBitRoundTrips) {
@@ -89,8 +110,12 @@ TEST(PageTable, ResidentCount) {
     table.Map(v, static_cast<Pfn>(v));
   }
   EXPECT_EQ(table.resident_pages(), 10u);
-  table.Unmap(3);
+  table.Unmap(*table.Find(3));
   EXPECT_EQ(table.resident_pages(), 9u);
+  table.Map(1, 20);  // remapping a present page does not count it twice
+  EXPECT_EQ(table.resident_pages(), 9u);
+  table.Map(3, 21);
+  EXPECT_EQ(table.resident_pages(), 10u);
 }
 
 // --- LruList ---------------------------------------------------------------
@@ -103,15 +128,6 @@ TEST(LruList, ColdestIsLeastRecentlyTouched) {
   EXPECT_EQ(lru.Coldest(), 1);
   lru.Touch(1);  // re-touch warms it
   EXPECT_EQ(lru.Coldest(), 2);
-}
-
-TEST(LruList, PopColdestRemoves) {
-  LruList<int> lru;
-  lru.Touch(1);
-  lru.Touch(2);
-  EXPECT_EQ(lru.PopColdest(), 1);
-  EXPECT_EQ(lru.PopColdest(), 2);
-  EXPECT_FALSE(lru.PopColdest().has_value());
 }
 
 TEST(LruList, RemoveSpecificKey) {
@@ -208,6 +224,19 @@ TEST(LruList, AccessCountSaturatesAtCap) {
   EXPECT_EQ(lru.AccessCount(1), 0xFFFFu);
 }
 
+// Composite keys (any hashable key type) work through the keyed index.
+struct PidVpn {
+  Pid pid;
+  Vpn vpn;
+  bool operator==(const PidVpn&) const = default;
+};
+
+struct PidVpnHash {
+  size_t operator()(const PidVpn& k) const {
+    return std::hash<uint64_t>()((static_cast<uint64_t>(k.pid) << 48) ^ k.vpn);
+  }
+};
+
 TEST(LruList, PidVpnKeysWork) {
   LruList<PidVpn, PidVpnHash> lru;
   lru.Touch({1, 100});
@@ -217,6 +246,45 @@ TEST(LruList, PidVpnKeysWork) {
   EXPECT_EQ(lru.size(), 2u);
   lru.Remove({1, 100});
   EXPECT_FALSE(lru.Contains(PidVpn{1, 100}));
+}
+
+// --- LruChain ----------------------------------------------------------------
+
+TEST(LruChain, PopColdestRemoves) {
+  LruChain<int> lru;
+  lru.PushFront(1);
+  lru.PushFront(2);
+  EXPECT_EQ(lru.PopColdest(), 1);
+  EXPECT_EQ(lru.PopColdest(), 2);
+  EXPECT_FALSE(lru.PopColdest().has_value());
+  EXPECT_TRUE(lru.empty());
+}
+
+TEST(LruChain, HandlesMoveEntriesWithoutAnIndex) {
+  LruChain<Vpn> lru;
+  const auto a = lru.PushFront(10);
+  const auto b = lru.PushFront(20);
+  lru.PushFront(30);
+  EXPECT_EQ(lru.Coldest(), Vpn{10});
+  lru.Touch(a);
+  EXPECT_EQ(lru.Coldest(), Vpn{20});
+  EXPECT_EQ(lru.CountOf(a), 2u);
+  lru.Erase(b);
+  EXPECT_EQ(lru.size(), 2u);
+  EXPECT_EQ(lru.PopColdest(), Vpn{30});
+  EXPECT_EQ(lru.PopColdest(), Vpn{10});
+  EXPECT_FALSE(lru.PopColdest().has_value());
+}
+
+TEST(LruChain, RecycledHandleStartsCold) {
+  LruChain<Vpn> lru;
+  const auto a = lru.PushFront(1);
+  lru.Touch(a);
+  lru.Touch(a);
+  lru.Erase(a);
+  const auto b = lru.PushFront(2);
+  EXPECT_EQ(b, a) << "the freed node is reused";
+  EXPECT_EQ(lru.CountOf(b), 1u);
 }
 
 // --- PageCache ---------------------------------------------------------------
