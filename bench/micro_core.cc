@@ -1,7 +1,10 @@
 // google-benchmark microbenchmarks of the Leap core: Boyer-Moore majority,
-// FindTrend across history sizes, prefetch-window sizing, and the full
-// OnAccess decision - the costs the paper argues are negligible (section
-// 3.3: O(Hsize) time, O(1) space).
+// the reference FindTrend across history sizes, the incremental trend the
+// prefetcher runs (TrendTracker), prefetch-window sizing, and the full
+// OnMiss decision - the costs the paper argues are negligible (section
+// 3.3). FindTrend rescans up to Hsize deltas per call (about 2 * Hsize
+// reads when no window has a majority); the tracker pays a few hash-table
+// steps per push and O(levels) per trend query, whatever Hsize is.
 #include <benchmark/benchmark.h>
 
 #include "src/core/leap.h"
@@ -56,6 +59,38 @@ void BM_FindTrend_Random(benchmark::State& state) {
 BENCHMARK(BM_FindTrend_Random)->RangeMultiplier(2)->Range(8, 512)
     ->Complexity(benchmark::oN);
 
+// The prefetcher's production path on the same worst case: every access
+// pushes a fresh delta (so one leaves every window) and reads the trend.
+void BM_TrendTracker_PushRandom(benchmark::State& state) {
+  const size_t hsize = static_cast<size_t>(state.range(0));
+  TrendTracker tracker(hsize, 2);
+  Rng rng(43);
+  for (size_t i = 0; i < hsize; ++i) {
+    tracker.Push(rng.NextInt(-1'000'000, 1'000'000));
+  }
+  for (auto _ : state) {
+    tracker.Push(rng.NextInt(-1'000'000, 1'000'000));
+    benchmark::DoNotOptimize(tracker.Trend());
+  }
+}
+BENCHMARK(BM_TrendTracker_PushRandom)->RangeMultiplier(2)->Range(8, 512);
+
+// The same stream through the reference: ring push plus a FindTrend scan.
+void BM_FindTrend_PushRandom(benchmark::State& state) {
+  const size_t hsize = static_cast<size_t>(state.range(0));
+  AccessHistory history(hsize);
+  TrendDetector detector(2);
+  Rng rng(43);
+  for (size_t i = 0; i < hsize; ++i) {
+    history.Push(rng.NextInt(-1'000'000, 1'000'000));
+  }
+  for (auto _ : state) {
+    history.Push(rng.NextInt(-1'000'000, 1'000'000));
+    benchmark::DoNotOptimize(detector.FindTrend(history));
+  }
+}
+BENCHMARK(BM_FindTrend_PushRandom)->RangeMultiplier(2)->Range(8, 512);
+
 void BM_PrefetchWindowCompute(benchmark::State& state) {
   PrefetchWindow window(8);
   bool flip = false;
@@ -93,11 +128,12 @@ BENCHMARK(BM_LeapOnAccess_Random)->Arg(32)->Arg(128)->Arg(512);
 void BM_ProcessTrackerFault(benchmark::State& state) {
   // Multi-process dispatch cost on top of the core decision.
   ProcessPageTracker tracker{LeapParams{}};
-  Rng rng(45);
+  PrefetchDecision decision;
   SwapSlot addr = 0;
   for (auto _ : state) {
     const Pid pid = 1 + static_cast<Pid>(addr % 8);
-    benchmark::DoNotOptimize(tracker.OnFault(pid, addr++));
+    tracker.OnFault(pid, addr++, &decision);
+    benchmark::DoNotOptimize(decision);
   }
 }
 BENCHMARK(BM_ProcessTrackerFault);

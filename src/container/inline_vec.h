@@ -3,8 +3,13 @@
 // and I/O batch scratch on the fault path, whose sizes are bounded by
 // compile-time caps (see kMaxPrefetchCandidates in src/sim/types.h).
 //
-// T must be default-constructible and copyable (the intended use is scalar
-// slots/timestamps). Overflowing push_back is a programming error: it
+// Only the first size() elements are ever constructed, copied or
+// compared: a new vector costs one size word, not N elements, which is
+// what lets the fault path keep 65-entry batches on the stack for misses
+// that use two of them. T must be trivially copyable and trivially
+// destructible (scalars and plain records such as IoRequest); it need not
+// be trivially default-constructible, since resize() value-initialises the
+// elements it adds. Overflowing push_back is a programming error: it
 // asserts in debug builds and drops the element in release builds, so
 // callers must clamp generation loops to capacity (or check full()).
 #ifndef LEAP_SRC_CONTAINER_INLINE_VEC_H_
@@ -12,16 +17,33 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstring>
+#include <new>
 #include <type_traits>
 
 namespace leap {
 
 template <typename T, size_t N>
 class InlineVec {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "InlineVec copies elements bytewise and never destroys them");
+
  public:
   using value_type = T;
 
-  InlineVec() = default;
+  // Leaves the element storage uninitialised.
+  InlineVec() {}
+  InlineVec(const InlineVec& other) : size_(other.size_) {
+    CopyFrom(other);
+  }
+  InlineVec& operator=(const InlineVec& other) {
+    if (this != &other) {
+      size_ = other.size_;
+      CopyFrom(other);
+    }
+    return *this;
+  }
 
   static constexpr size_t capacity() { return N; }
   size_t size() const { return size_; }
@@ -31,7 +53,8 @@ class InlineVec {
   void push_back(const T& v) {
     assert(size_ < N && "InlineVec overflow");
     if (size_ < N) {
-      items_[size_++] = v;
+      ::new (static_cast<void*>(items_ + size_)) T(v);
+      ++size_;
     }
   }
 
@@ -51,7 +74,7 @@ class InlineVec {
       n = N;
     }
     for (size_t i = size_; i < n; ++i) {
-      items_[i] = T{};
+      ::new (static_cast<void*>(items_ + i)) T();
     }
     size_ = n;
   }
@@ -106,7 +129,19 @@ class InlineVec {
   }
 
  private:
-  T items_[N] = {};
+  // size_ must already hold other.size_.
+  void CopyFrom(const InlineVec& other) {
+    if (size_ > 0) {
+      std::memcpy(static_cast<void*>(items_), other.items_,
+                  size_ * sizeof(T));
+    }
+  }
+
+  // The union keeps the array's elements unconstructed until push_back or
+  // resize places one.
+  union {
+    T items_[N];
+  };
   size_t size_ = 0;
 };
 

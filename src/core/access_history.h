@@ -5,9 +5,12 @@
 // accesses is stored, which both shrinks the footprint and makes trend
 // detection a majority query over deltas.
 //
-// Push and FromHead are the innermost operations of trend detection (called
-// tens of times per fault), so they are inline and division-free: the ring
-// index wraps with a compare-and-subtract instead of a modulo.
+// The prefetcher pushes every delta here and into its TrendTracker, which
+// keeps the trend up to date without reading the ring. FromHead is read by
+// the reference FindTrend (up to 4 * Hsize reads per call), which runs
+// in assert builds as the tracker's oracle and in tests and benches. Both
+// are inline and division-free: the ring index wraps with a
+// compare-and-subtract instead of a modulo.
 #ifndef LEAP_SRC_CORE_ACCESS_HISTORY_H_
 #define LEAP_SRC_CORE_ACCESS_HISTORY_H_
 

@@ -14,5 +14,6 @@
 #include "src/core/prefetch_window.h"
 #include "src/core/process_tracker.h"
 #include "src/core/trend_detector.h"
+#include "src/core/trend_tracker.h"
 
 #endif  // LEAP_SRC_CORE_LEAP_H_

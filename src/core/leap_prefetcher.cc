@@ -1,5 +1,9 @@
 #include "src/core/leap_prefetcher.h"
 
+#include <cassert>
+
+#include "src/core/trend_detector.h"
+
 namespace leap {
 namespace {
 
@@ -28,7 +32,7 @@ void GenerateCandidates(SwapSlot pt, PageDelta delta, size_t count,
 
 LeapPrefetcher::LeapPrefetcher(const LeapParams& params)
     : history_(params.history_size),
-      detector_(params.nsplit),
+      trend_(history_.capacity(), params.nsplit),
       window_(params.max_prefetch_window) {}
 
 void LeapPrefetcher::RecordAccess(SwapSlot pt) {
@@ -37,12 +41,13 @@ void LeapPrefetcher::RecordAccess(SwapSlot pt) {
   if (last_access_.has_value()) {
     last_delta_ =
         static_cast<PageDelta>(pt) - static_cast<PageDelta>(*last_access_);
+    trend_.Push(*last_delta_);
     history_.Push(*last_delta_);
   }
   last_access_ = pt;
 }
 
-PrefetchDecision LeapPrefetcher::OnMiss(SwapSlot pt) {
+void LeapPrefetcher::OnMiss(SwapSlot pt, PrefetchDecision* out) {
   RecordAccess(pt);
 
   // Detect the trend up front: "Pt follows the current trend" (Algorithm 2
@@ -50,22 +55,23 @@ PrefetchDecision LeapPrefetcher::OnMiss(SwapSlot pt) {
   // to the last known trend during majority gaps. Judging only against a
   // previously cached trend would deadlock a cold prefetcher: no window ->
   // no prefetch -> no hits -> no window.
-  const auto trend = detector_.FindTrend(history_);
+  const auto trend = trend_.Trend();
+  assert(trend == TrendDetector(trend_.nsplit()).FindTrend(history_));
   const bool follows_trend =
       last_delta_.has_value() &&
       ((trend.has_value() && *last_delta_ == *trend) ||
        (!trend.has_value() && last_trend_.has_value() &&
         *last_delta_ == *last_trend_));
 
-  PrefetchDecision decision;
+  PrefetchDecision& decision = *out;
+  decision = PrefetchDecision{};
   decision.trend_found = trend.has_value();
   if (trend.has_value()) {
     last_trend_ = trend;
   }
   decision.window_size = window_.ComputeSize(follows_trend);
   if (decision.window_size == 0) {
-    // Prefetching suspended: read only Pt.
-    return decision;
+    return;  // prefetching suspended: read only Pt
   }
 
   if (trend.has_value()) {
@@ -79,7 +85,6 @@ PrefetchDecision LeapPrefetcher::OnMiss(SwapSlot pt) {
     GenerateCandidates(pt, *last_trend_, decision.window_size,
                        &decision.pages);
   }
-  return decision;
 }
 
 }  // namespace leap

@@ -11,7 +11,7 @@
 #include "src/core/access_history.h"
 #include "src/core/params.h"
 #include "src/core/prefetch_window.h"
-#include "src/core/trend_detector.h"
+#include "src/core/trend_tracker.h"
 #include "src/sim/types.h"
 
 namespace leap {
@@ -48,8 +48,14 @@ class LeapPrefetcher {
   // the access, then sizes the window and generates candidates. Between
   // two misses the window's Chit accumulates over all prefetched-page
   // hits, which is what lets PWsize grow to (and stay at) PWsize_max on a
-  // well-predicted stream.
-  PrefetchDecision OnMiss(SwapSlot pt);
+  // well-predicted stream. The decision is written over `*out`, so a
+  // caller that keeps one decision object builds no fresh one per miss.
+  void OnMiss(SwapSlot pt, PrefetchDecision* out);
+  PrefetchDecision OnMiss(SwapSlot pt) {
+    PrefetchDecision decision;
+    OnMiss(pt, &decision);
+    return decision;
+  }
 
   // Called when a page this prefetcher brought in gets its first hit.
   // `slot` identifies the page, so hit feedback stays per-page instead of
@@ -70,7 +76,10 @@ class LeapPrefetcher {
 
  private:
   AccessHistory history_;
-  TrendDetector detector_;
+  // FindTrend's answer, updated on every push (Algorithm 1 in O(levels)
+  // per fault; TrendDetector stays as the reference it is checked
+  // against).
+  TrendTracker trend_;
   PrefetchWindow window_;
   std::optional<SwapSlot> last_access_;
   // Delta produced by the most recent RecordAccess.

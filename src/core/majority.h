@@ -5,6 +5,12 @@
 // least floor(w/2) + 1 slots. Boyer-Moore yields a candidate in one pass and
 // O(1) space; a second counting pass confirms or rejects it, exactly as
 // Algorithm 1 line 8 requires ("if Δmaj != major trend then Δmaj = ∅").
+// Both passes read the whole window: 2 * w reads per call, with or without
+// a majority.
+//
+// These are the building blocks of the reference FindTrend; the
+// prefetcher's own path (TrendTracker) keeps window majorities from sliding
+// counts and calls neither.
 #ifndef LEAP_SRC_CORE_MAJORITY_H_
 #define LEAP_SRC_CORE_MAJORITY_H_
 

@@ -22,8 +22,11 @@ class ProcessPageTracker {
  public:
   explicit ProcessPageTracker(const LeapParams& params) : params_(params) {}
 
-  // Logs a cache *miss* for `pid` and returns Leap's prefetch decision.
-  // Creates the per-process state on first use.
+  // Logs a cache *miss* for `pid` and writes Leap's prefetch decision over
+  // `*out` (or returns it). Creates the per-process state on first use.
+  void OnFault(Pid pid, SwapSlot slot, PrefetchDecision* out) {
+    ForProcess(pid).OnMiss(slot, out);
+  }
   PrefetchDecision OnFault(Pid pid, SwapSlot slot) {
     return ForProcess(pid).OnMiss(slot);
   }

@@ -6,6 +6,11 @@
 // adapt fast when the trend is regular; the doubling fallback rides out
 // short-term irregularities (at most floor(w/2) - 1 of them in a window of
 // size w).
+//
+// This is the reference implementation: it rescans the history on every
+// call. The prefetcher keeps the same answer incrementally in TrendTracker
+// (trend_tracker.h) and, in builds with asserts, checks it against this on
+// every miss.
 #ifndef LEAP_SRC_CORE_TREND_DETECTOR_H_
 #define LEAP_SRC_CORE_TREND_DETECTOR_H_
 
@@ -24,8 +29,10 @@ class TrendDetector {
   // Returns the majority delta of the smallest doubling window that has
   // one, or nullopt when even the full history lacks a majority.
   //
-  // Worst case runs Boyer-Moore over windows w, 2w, 4w, ..., Hsize, an
-  // O(Hsize) total because the window sizes form a geometric series.
+  // Worst case (no window has a majority) runs both Boyer-Moore passes
+  // over windows w, 2w, 4w, ..., Hsize: fewer than 4 * Hsize ring reads,
+  // O(Hsize) because the window sizes form a geometric series. With the
+  // paper's Hsize = 32, Nsplit = 2 that is 2 * (16 + 32) = 96 reads.
   std::optional<PageDelta> FindTrend(const AccessHistory& history) const;
 
   size_t nsplit() const { return nsplit_; }

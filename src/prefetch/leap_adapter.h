@@ -13,8 +13,10 @@ class LeapAdapter : public PrefetchPolicy {
   explicit LeapAdapter(const LeapParams& params = LeapParams())
       : tracker_(params) {}
 
+  // The decision is built in place in last_decision_; only its candidates
+  // are copied out.
   CandidateVec OnFault(const FaultContext& ctx) override {
-    last_decision_ = tracker_.OnFault(ctx.pid, ctx.slot);
+    tracker_.OnFault(ctx.pid, ctx.slot, &last_decision_);
     return last_decision_.pages;
   }
 
@@ -29,9 +31,8 @@ class LeapAdapter : public PrefetchPolicy {
 
   std::string_view name() const override { return "leap"; }
 
-  // Introspection for tests and the pattern-explorer example.
+  // Introspection for tests: the decision of the latest OnFault.
   const PrefetchDecision& last_decision() const { return last_decision_; }
-  ProcessPageTracker& tracker() { return tracker_; }
 
  private:
   ProcessPageTracker tracker_;
