@@ -1,5 +1,7 @@
 // Memory substrate: frame pool, page table, LRU list, page cache, cgroup.
 #include <algorithm>
+#include <list>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "src/mem/lru_list.h"
 #include "src/mem/page_cache.h"
 #include "src/mem/page_table.h"
+#include "src/sim/rng.h"
 
 namespace leap {
 namespace {
@@ -495,6 +498,175 @@ TEST(PageCache, CountsTrackChurn) {
     ASSERT_EQ(cache.consumed_count(), consumed);
   }
   EXPECT_EQ(unhit + consumed, cache.size());
+}
+
+// A reference page cache made of std containers: a std::list LRU (front =
+// hottest), the unhit and consumed lists in insertion order (front =
+// oldest), and a map holding each entry's state.
+struct CacheModel {
+  struct Ref {
+    bool prefetched = false;
+    SimTimeNs added_at = 0;
+    SimTimeNs first_hit_at = 0;
+  };
+
+  std::map<SwapSlot, Ref> entries;
+  std::list<SwapSlot> lru;
+  std::list<SwapSlot> unhit;
+  std::list<SwapSlot> consumed;
+
+  std::list<SwapSlot>* ListFor(const Ref& ref) {
+    if (ref.first_hit_at != 0) {
+      return &consumed;
+    }
+    return ref.prefetched ? &unhit : nullptr;
+  }
+
+  static void Drop(std::list<SwapSlot>* list, SwapSlot slot) {
+    if (list != nullptr) {
+      list->erase(std::find(list->begin(), list->end(), slot));
+    }
+  }
+
+  void Insert(SwapSlot slot, const Ref& ref) {
+    entries[slot] = ref;
+    lru.push_front(slot);
+    if (std::list<SwapSlot>* list = ListFor(ref)) {
+      list->push_back(slot);
+    }
+  }
+
+  void Remove(SwapSlot slot) {
+    Drop(ListFor(entries.at(slot)), slot);
+    lru.remove(slot);
+    entries.erase(slot);
+  }
+
+  void Touch(SwapSlot slot) {
+    lru.remove(slot);
+    lru.push_front(slot);
+  }
+
+  void SetFirstHit(SwapSlot slot, SimTimeNs t) {
+    Ref& ref = entries.at(slot);
+    std::list<SwapSlot>* from = ListFor(ref);
+    ref.first_hit_at = t;
+    std::list<SwapSlot>* to = ListFor(ref);
+    if (to != from) {
+      Drop(from, slot);
+      to->push_back(slot);
+    }
+  }
+};
+
+// Every list-facing query of `cache` against the model, including the
+// kswapd picks (as sets, since their order is the hash table's).
+void ExpectCacheMatchesModel(const PageCache& cache, const CacheModel& model,
+                             SimTimeNs cutoff, size_t limit) {
+  ASSERT_EQ(cache.size(), model.entries.size());
+  ASSERT_EQ(cache.unhit_count(), model.unhit.size());
+  ASSERT_EQ(cache.consumed_count(), model.consumed.size());
+  if (model.lru.empty()) {
+    ASSERT_FALSE(cache.ColdestSlot().has_value());
+  } else {
+    ASSERT_EQ(cache.ColdestSlot(), model.lru.back());
+  }
+  if (model.unhit.empty()) {
+    ASSERT_FALSE(cache.OldestUnhit().has_value());
+  } else {
+    ASSERT_EQ(cache.OldestUnhit(), model.unhit.front());
+  }
+
+  std::vector<PageCache::ScanPick> all;
+  cache.PickConsumed(cache.size(), &all);
+  std::vector<SwapSlot> want(model.consumed.begin(), model.consumed.end());
+  std::sort(want.begin(), want.end());
+  ASSERT_EQ(SortedSlots(all), want);
+  for (size_t i = 1; i < all.size(); ++i) {
+    ASSERT_LT(all[i - 1].position, all[i].position);
+  }
+  // A limited pick is the table-order prefix of the full one.
+  std::vector<PageCache::ScanPick> first;
+  cache.PickConsumed(limit, &first);
+  ASSERT_EQ(first.size(), std::min(limit, all.size()));
+  for (size_t i = 0; i < first.size(); ++i) {
+    ASSERT_EQ(first[i].slot, all[i].slot);
+  }
+
+  cache.PickUnhitAddedBefore(cutoff, cache.size(), &all);
+  want.clear();
+  for (const SwapSlot slot : model.unhit) {
+    if (model.entries.at(slot).added_at < cutoff) {
+      want.push_back(slot);
+    }
+  }
+  std::sort(want.begin(), want.end());
+  ASSERT_EQ(SortedSlots(all), want);
+}
+
+// Seeded random Insert/Remove/TouchLru/SetFirstHit churn over a few
+// thousand slots, checked against CacheModel after every operation. The
+// cache grows to ~1000 entries and shrinks by a third, twice, so the hash
+// table grows and backward-shifts on erase while its entries hold list
+// links.
+TEST(PageCache, RandomChurnMatchesReferenceModel) {
+  constexpr SwapSlot kSlots = 2000;
+  PageCache cache;
+  CacheModel model;
+  Rng rng(20260419);
+  SimTimeNs clock = 100;
+  auto touch = [&](SwapSlot slot) { cache.TouchLru(slot); };
+  for (int op = 0; op < 8000; ++op) {
+    // Grow for 2000 ops, then shrink for 2000, twice over.
+    const bool grow = (op / 2000) % 2 == 0;
+    const double insert_share = grow ? 0.6 : 0.1;
+    const double remove_share = grow ? 0.15 : 0.55;
+    const SwapSlot slot = rng.NextU64(kSlots);
+    const bool cached = model.entries.count(slot) != 0;
+    ++clock;
+    const double dice = rng.NextDouble();
+    if (dice < insert_share) {
+      CacheEntry entry;
+      // added_at mostly follows insertion order, with some disorder.
+      entry.added_at = clock * 10 - rng.NextU64(rng.NextBool(0.1) ? 40 : 1);
+      const double kind = rng.NextDouble();
+      entry.prefetched = kind < 0.6;
+      if (kind >= 0.8) {
+        entry.first_hit_at = clock * 10;
+      }
+      ASSERT_EQ(cache.Insert(slot, entry), !cached);
+      if (!cached) {
+        model.Insert(slot, {entry.prefetched, entry.added_at,
+                            entry.first_hit_at});
+      }
+    } else if (dice < insert_share + remove_share) {
+      const auto removed = cache.Remove(slot);
+      ASSERT_EQ(removed.has_value(), cached);
+      if (cached) {
+        const CacheModel::Ref& ref = model.entries.at(slot);
+        EXPECT_EQ(removed->prefetched, ref.prefetched);
+        EXPECT_EQ(removed->added_at, ref.added_at);
+        EXPECT_EQ(removed->first_hit_at, ref.first_hit_at);
+        model.Remove(slot);
+      }
+    } else if (cached && dice < insert_share + remove_share + 0.1) {
+      CacheEntry* entry = cache.Lookup(slot);
+      ASSERT_NE(entry, nullptr);
+      if (entry->first_hit_at == 0) {
+        // A "hit" at t = 0 leaves the entry where it is.
+        const SimTimeNs t = rng.NextBool(0.05) ? 0 : clock * 10;
+        cache.SetFirstHit(slot, entry, t);
+        model.SetFirstHit(slot, t);
+      }
+    } else if (cached) {
+      touch(slot);
+      model.Touch(slot);
+    }
+    const SimTimeNs cutoff = rng.NextU64(clock * 10 + 50);
+    ASSERT_NO_FATAL_FAILURE(ExpectCacheMatchesModel(
+        cache, model, cutoff, rng.NextU64(cache.size() + 2)))
+        << "after op " << op;
+  }
 }
 
 // --- Cgroup ------------------------------------------------------------------

@@ -3,8 +3,13 @@
 // disabled-path guarantee (tier off => no tier state, identical runs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <iterator>
+#include <list>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/runtime/app_runner.h"
 #include "src/runtime/sharded_cluster.h"
@@ -153,6 +158,127 @@ TEST(TieredStore, MigrationRecordsTraceEvents) {
   EXPECT_EQ(e.b, kTierRemote);
   EXPECT_EQ(e.host, 3u);
   EXPECT_EQ(e.cls, IoClass::kMigration);
+}
+
+// A reference tiered store: each tier's recency list as a std::list
+// (front = hottest) and each known slot's tier and access count.
+struct TierModel {
+  struct Ref {
+    size_t tier = kTierCount;
+    uint32_t count = 0;
+  };
+
+  explicit TierModel(size_t cxl_pages) : cxl_pages(cxl_pages) {}
+
+  void Touch(SwapSlot slot, size_t tier) {
+    Ref& ref = slots[slot];
+    if (ref.tier == tier) {
+      ++ref.count;
+      lists[tier].remove(slot);
+    } else {
+      ref = {tier, 1};
+    }
+    lists[tier].push_front(slot);
+  }
+
+  void Write(SwapSlot slot) {
+    const auto it = slots.find(slot);
+    if (it != slots.end()) {
+      Touch(slot, it->second.tier);
+    } else {
+      Touch(slot, lists[kTierCxl].size() < cxl_pages ? kTierCxl : kTierRemote);
+    }
+  }
+
+  void Read(SwapSlot slot) {
+    const auto it = slots.find(slot);
+    Touch(slot, it != slots.end() ? it->second.tier : kTierRemote);
+  }
+
+  bool Migrate(SwapSlot slot, size_t from, size_t to) {
+    const auto it = slots.find(slot);
+    if (it == slots.end() || it->second.tier != from || from == to ||
+        (to == kTierCxl && lists[kTierCxl].size() >= cxl_pages)) {
+      return false;
+    }
+    lists[from].remove(slot);
+    Touch(slot, to);
+    return true;
+  }
+
+  void Decay() {
+    for (auto& [slot, ref] : slots) {
+      ref.count >>= 1;
+    }
+  }
+
+  size_t cxl_pages;
+  std::map<SwapSlot, Ref> slots;
+  std::array<std::list<SwapSlot>, kTierCount> lists;
+};
+
+// Seeded random WritePage/ReadPages/MigrateSlot/DecayCounts churn over a
+// few thousand slots, checked against TierModel after every operation:
+// residency, per-tier sizes, every slot's count on every tier (0 off its
+// tier) and the heat lists' hot and cold ends.
+TEST(TieredStore, RandomChurnMatchesReferenceModel) {
+  constexpr SwapSlot kSlots = 2000;
+  constexpr size_t kCxlPages = 300;
+  TierFixture fx(kCxlPages);
+  TierModel model(kCxlPages);
+  Rng rng(20260420);
+  SimTimeNs now = 0;
+  for (int op = 0; op < 6000; ++op) {
+    now += 1000;
+    const SwapSlot slot = rng.NextU64(kSlots);
+    const double dice = rng.NextDouble();
+    if (dice < 0.35) {
+      fx.store.WritePage(EvictionWrite(slot), now, fx.rng);
+      model.Write(slot);
+    } else if (dice < 0.7) {
+      // A batch of up to three reads, repeats allowed.
+      std::vector<IoRequest> reqs;
+      const size_t n = 1 + rng.NextU64(3);
+      for (size_t i = 0; i < n; ++i) {
+        const SwapSlot s = i == 0 ? slot : rng.NextU64(kSlots);
+        reqs.push_back(DemandRead(s, /*tenant=*/1, now));
+        model.Read(s);
+      }
+      std::vector<SimTimeNs> ready(n);
+      fx.store.ReadPages(reqs, now, fx.rng, ready);
+    } else if (dice < 0.98) {
+      const size_t from = rng.NextU64(kTierCount);
+      const size_t to = rng.NextU64(kTierCount);
+      ASSERT_EQ(fx.store.MigrateSlot(slot, from, to, now, fx.rng),
+                model.Migrate(slot, from, to));
+    } else {
+      fx.store.DecayCounts();
+      model.Decay();
+    }
+
+    for (size_t tier = 0; tier < kTierCount; ++tier) {
+      ASSERT_EQ(fx.store.TierPages(tier), model.lists[tier].size());
+      const std::list<SwapSlot>& list = model.lists[tier];
+      const size_t n = rng.NextU64(list.size() + 2);
+      const std::vector<SwapSlot> hottest(
+          list.begin(), std::next(list.begin(), std::min(n, list.size())));
+      const std::vector<SwapSlot> coldest(
+          list.rbegin(), std::next(list.rbegin(), std::min(n, list.size())));
+      ASSERT_EQ(fx.store.HottestOf(tier, n), hottest) << "op " << op;
+      ASSERT_EQ(fx.store.ColdestOf(tier, n), coldest) << "op " << op;
+    }
+    for (SwapSlot s = 0; s < kSlots; ++s) {
+      const auto it = model.slots.find(s);
+      const TierModel::Ref ref =
+          it == model.slots.end() ? TierModel::Ref{} : it->second;
+      ASSERT_EQ(fx.store.TierOf(s), ref.tier) << "slot " << s;
+      for (size_t tier = 0; tier < kTierCount; ++tier) {
+        ASSERT_EQ(fx.store.AccessCount(tier, s),
+                  tier == ref.tier ? ref.count : 0u)
+            << "slot " << s << " tier " << tier << " op " << op;
+      }
+    }
+  }
 }
 
 // --- TierMigrator -----------------------------------------------------------
