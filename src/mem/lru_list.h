@@ -1,29 +1,28 @@
-// O(1) LRU lists, the reclaim order for resident and cached pages.
+// LruChain: the simulator's one page list type, used for LRU, FIFO and
+// heat order alike.
+//
+// An intrusive doubly-linked list threaded through a slab of pooled nodes
+// (indices, not pointers): no per-operation allocation, no pointer-chased
+// std::list nodes. Each entry is addressed by its handle (its node index),
+// which the record that owns the page keeps: the process LRU stores it in
+// the page's PTE, the page cache in its CacheEntry (one handle for the
+// cache LRU, one for the unhit/consumed FIFO), and the tiered store in the
+// slot's residency record. A touch or an unlink is a few slab stores and no
+// lookup at all; the key stored in each node is what the cold-end scans
+// (Coldest, WalkColdestFirst) report.
 //
 // kswapd scans from the cold end, exactly like the kernel walking the
-// inactive list. Both lists are an intrusive doubly-linked list threaded
-// through a slab of pooled nodes (indices, not pointers): no per-operation
-// allocation, no pointer-chased std::list nodes.
+// inactive list. Used as a FIFO, PushFront is the newest end and Coldest
+// the oldest.
 //
-//  - LruChain is the index-free core. Each entry is addressed by its
-//    handle (its node index), which the caller keeps: the process LRU
-//    stores it in the page's PTE, so a touch is a few slab stores and no
-//    lookup at all.
-//  - LruList adds a FlatMap key -> handle index for owners that address
-//    entries by key (the page cache and the tiered store): a Touch in
-//    steady state is one map probe plus the chain's slab stores.
-//
-// Kept header-only: small templates used with a handful of key types.
+// Kept header-only: a small template used with a handful of key types.
 #ifndef LEAP_SRC_MEM_LRU_LIST_H_
 #define LEAP_SRC_MEM_LRU_LIST_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
-
-#include "src/container/flat_map.h"
 
 namespace leap {
 
@@ -91,14 +90,29 @@ class LruChain {
     return out;
   }
 
+  // Calls visit(key) for each entry from the cold (least recent, or
+  // oldest) end towards the hot end, stopping early once visit returns
+  // false. The list must not change during the walk.
+  template <class F>
+  void WalkColdestFirst(F&& visit) const {
+    for (Handle idx = tail_; idx != kNoHandle; idx = nodes_[idx].prev) {
+      if (!visit(nodes_[idx].key)) {
+        return;
+      }
+    }
+  }
+
   // The n coldest keys, coldest first (for batch reclaim scans).
   std::vector<Key> ColdestN(size_t n) const {
     std::vector<Key> out;
     out.reserve(n < size_ ? n : size_);
-    for (Handle idx = tail_; idx != kNoHandle && out.size() < n;
-         idx = nodes_[idx].prev) {
-      out.push_back(nodes_[idx].key);
-    }
+    WalkColdestFirst([&](const Key& key) {
+      if (out.size() == n) {
+        return false;
+      }
+      out.push_back(key);
+      return true;
+    });
     return out;
   }
 
@@ -181,54 +195,6 @@ class LruChain {
   Handle head_ = kNoHandle;
   Handle tail_ = kNoHandle;
   size_t size_ = 0;
-};
-
-template <typename Key, typename Hash = std::hash<Key>>
-class LruList : private LruChain<Key> {
-  using Chain = LruChain<Key>;
-  using Handle = typename Chain::Handle;
-
- public:
-  using Chain::Coldest;
-  using Chain::ColdestN;
-  using Chain::DecayCounts;
-  using Chain::HottestN;
-  using Chain::size;
-
-  // Inserts or refreshes `key` as most-recently-used. Each Touch bumps the
-  // entry's access count (saturating); see LruChain::Touch.
-  void Touch(const Key& key) {
-    auto [handle, inserted] = index_.Emplace(key);
-    if (inserted) {
-      *handle = Chain::PushFront(key);
-    } else {
-      Chain::Touch(*handle);
-    }
-  }
-
-  // Removes `key`; returns true if it was present.
-  bool Remove(const Key& key) {
-    const Handle* handle = index_.Find(key);
-    if (handle == nullptr) {
-      return false;
-    }
-    const Handle h = *handle;
-    index_.Erase(key);
-    Chain::Erase(h);
-    return true;
-  }
-
-  bool Contains(const Key& key) const { return index_.Contains(key); }
-
-  // Accesses recorded for `key` since insertion (Insert/first Touch = 1;
-  // each later Touch adds 1, saturating). 0 when absent.
-  uint32_t AccessCount(const Key& key) const {
-    const Handle* handle = index_.Find(key);
-    return handle == nullptr ? 0 : Chain::CountOf(*handle);
-  }
-
- private:
-  FlatMap<Key, Handle, Hash> index_;
 };
 
 }  // namespace leap

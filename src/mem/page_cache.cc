@@ -17,7 +17,7 @@ bool PageCache::Insert(SwapSlot slot, const CacheEntry& entry) {
   const auto [value, inserted] = entries_.Emplace(slot, entry);
   if (inserted) {
     Link(slot, value);
-    lru_.Touch(slot);
+    value->lru = lru_.PushFront(slot);
   }
   return inserted;
 }
@@ -34,9 +34,9 @@ std::optional<CacheEntry> PageCache::Remove(SwapSlot slot) {
     return std::nullopt;
   }
   Unlink(entry, ListFor(*entry));
+  lru_.Erase(entry->lru);
   CacheEntry removed = *entry;
   entries_.Erase(slot);
-  lru_.Remove(slot);
   return removed;
 }
 
@@ -49,20 +49,13 @@ void PageCache::SetFirstHit(SwapSlot slot, CacheEntry* entry, SimTimeNs t) {
   }
 }
 
-std::optional<SwapSlot> PageCache::OldestUnhit() const {
-  const uint32_t n = lists_[kUnhit].oldest;
-  if (n == kNil) {
-    return std::nullopt;
-  }
-  return nodes_[n].slot;
-}
-
 void PageCache::PickConsumed(size_t limit,
                              std::vector<ScanPick>* picks) const {
   picks->clear();
-  for (uint32_t n = lists_[kConsumed].oldest; n != kNil; n = nodes_[n].newer) {
-    OfferPick(nodes_[n].slot, limit, picks);
-  }
+  lists_[kConsumed].WalkColdestFirst([&](SwapSlot slot) {
+    OfferPick(slot, limit, picks);
+    return true;
+  });
   FinishPicks(picks);
 }
 
@@ -75,15 +68,16 @@ void PageCache::PickUnhitAddedBefore(SimTimeNs cutoff, size_t limit,
   constexpr SimTimeNs kMax = std::numeric_limits<SimTimeNs>::max();
   const SimTimeNs stop =
       cutoff > kMax - unhit_disorder_ ? kMax : cutoff + unhit_disorder_;
-  for (uint32_t n = lists_[kUnhit].oldest; n != kNil; n = nodes_[n].newer) {
-    const SimTimeNs added_at = entries_.Find(nodes_[n].slot)->added_at;
+  lists_[kUnhit].WalkColdestFirst([&](SwapSlot slot) {
+    const SimTimeNs added_at = entries_.Find(slot)->added_at;
     if (added_at >= stop) {
-      break;
+      return false;
     }
     if (added_at < cutoff) {
-      OfferPick(nodes_[n].slot, limit, picks);
+      OfferPick(slot, limit, picks);
     }
-  }
+    return true;
+  });
   FinishPicks(picks);
 }
 
@@ -95,12 +89,11 @@ PageCache::ListId PageCache::ListFor(const CacheEntry& entry) {
 }
 
 void PageCache::Link(SwapSlot slot, CacheEntry* entry) {
-  entry->age_node = kNil;
+  entry->age = LruChain<SwapSlot>::kNoHandle;
   const ListId id = ListFor(*entry);
   if (id == kNumLists) {
     return;
   }
-  AgeList& list = lists_[id];
   if (id == kUnhit) {
     if (entry->added_at >= unhit_added_at_max_) {
       unhit_added_at_max_ = entry->added_at;
@@ -109,45 +102,15 @@ void PageCache::Link(SwapSlot slot, CacheEntry* entry) {
                                  unhit_added_at_max_ - entry->added_at);
     }
   }
-  uint32_t n = free_nodes_;
-  if (n != kNil) {
-    free_nodes_ = nodes_[n].newer;
-  } else {
-    n = static_cast<uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-  }
-  nodes_[n] = AgeNode{slot, list.newest, kNil};
-  if (list.newest != kNil) {
-    nodes_[list.newest].newer = n;
-  } else {
-    list.oldest = n;
-  }
-  list.newest = n;
-  ++list.size;
-  entry->age_node = n;
+  entry->age = lists_[id].PushFront(slot);
 }
 
 void PageCache::Unlink(CacheEntry* entry, ListId id) {
-  const uint32_t n = entry->age_node;
-  if (n == kNil) {
+  if (entry->age == LruChain<SwapSlot>::kNoHandle) {
     return;
   }
-  AgeList& list = lists_[id];
-  const AgeNode& node = nodes_[n];
-  if (node.older != kNil) {
-    nodes_[node.older].newer = node.newer;
-  } else {
-    list.oldest = node.newer;
-  }
-  if (node.newer != kNil) {
-    nodes_[node.newer].older = node.older;
-  } else {
-    list.newest = node.older;
-  }
-  --list.size;
-  nodes_[n] = AgeNode{kInvalidSlot, kNil, free_nodes_};
-  free_nodes_ = n;
-  entry->age_node = kNil;
+  lists_[id].Erase(entry->age);
+  entry->age = LruChain<SwapSlot>::kNoHandle;
 }
 
 // Bounded selection: `picks` is a max-heap on position holding the

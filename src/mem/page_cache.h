@@ -6,24 +6,26 @@
 // instead of re-issuing the read - the kernel's "page locked until read
 // completes" behavior.
 //
-// Besides the hash table, the cache threads two age lists through a node
-// slab, so background reclaim works on the entries it can act on instead
-// of walking the whole table (the per-state FIFO lists a kswapd scans from
-// the cold end):
-//  - unhit: prefetched entries not yet hit, in insertion order. Eager
-//    reclaim evicts from its oldest end, the prefetch cap reads its length,
-//    and TTL aging walks it from the oldest end until entries are too
-//    young to expire;
-//  - consumed: entries with first_hit_at != 0: lazy eviction's carcasses
-//    awaiting kswapd, and in VFS mode the hit pages, which keep their
-//    frame.
-// Insert, Remove and SetFirstHit keep both lists current; every operation
-// is allocation-free in steady state.
+// Besides the hash table, the cache keeps three LruChain lists, with each
+// entry's handles stored in its CacheEntry, so background reclaim works on
+// the entries it can act on instead of walking the whole table (the
+// per-state lists a kswapd scans from the cold end):
+//  - lru: every entry, in recency order (TouchLru), for size-limited and
+//    lazy reclaim;
+//  - unhit: prefetched entries not yet hit, a FIFO in insertion order.
+//    Eager reclaim evicts from its oldest end, the prefetch cap reads its
+//    length, and TTL aging walks it from the oldest end until entries are
+//    too young to expire;
+//  - consumed: entries with first_hit_at != 0, also a FIFO: lazy
+//    eviction's carcasses awaiting kswapd, and in VFS mode the hit pages,
+//    which keep their frame.
+// Insert, Remove and SetFirstHit keep the lists current through the
+// handles, with no key index besides the table itself; every operation is
+// allocation-free in steady state.
 #ifndef LEAP_SRC_MEM_PAGE_CACHE_H_
 #define LEAP_SRC_MEM_PAGE_CACHE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -47,11 +49,11 @@ struct CacheEntry {
   SimTimeNs first_hit_at = 0;
   // Dirty file page awaiting writeback (VFS mode only).
   bool dirty = false;
-  // The entry's node in the cache's age lists (kNoAgeNode while on
-  // neither). Owned by PageCache.
-  uint32_t age_node = kNoAgeNode;
-
-  static constexpr uint32_t kNoAgeNode = static_cast<uint32_t>(-1);
+  // The entry's nodes in the cache's lists, owned by PageCache: `lru` in
+  // the cache LRU, `age` in the unhit or consumed list (kNoHandle while on
+  // neither).
+  LruChain<SwapSlot>::Handle lru = LruChain<SwapSlot>::kNoHandle;
+  LruChain<SwapSlot>::Handle age = LruChain<SwapSlot>::kNoHandle;
 
   // A consumed entry whose frame went to the mapping process (lazy
   // eviction): it holds no page. A VFS-mode page keeps its frame once hit.
@@ -75,9 +77,10 @@ class PageCache {
   // and moves it to the age list its new state belongs to.
   void SetFirstHit(SwapSlot slot, CacheEntry* entry, SimTimeNs t);
 
-  // Marks recency for cache-internal LRU eviction (used when the prefetch
-  // cache itself is size-limited, Figure 12).
-  void TouchLru(SwapSlot slot) { lru_.Touch(slot); }
+  // Marks recency of `entry` (what Lookup returned) for cache-internal LRU
+  // eviction (used when the prefetch cache itself is size-limited,
+  // Figure 12).
+  void TouchLru(CacheEntry* entry) { lru_.Touch(entry->lru); }
   std::optional<SwapSlot> ColdestSlot() const { return lru_.Coldest(); }
 
   size_t size() const { return entries_.size(); }
@@ -85,10 +88,12 @@ class PageCache {
 
   // --- age lists ------------------------------------------------------------
 
-  size_t unhit_count() const { return lists_[kUnhit].size; }
-  size_t consumed_count() const { return lists_[kConsumed].size; }
+  size_t unhit_count() const { return lists_[kUnhit].size(); }
+  size_t consumed_count() const { return lists_[kConsumed].size(); }
   // The oldest prefetched entry not yet hit; nullopt when there is none.
-  std::optional<SwapSlot> OldestUnhit() const;
+  std::optional<SwapSlot> OldestUnhit() const {
+    return lists_[kUnhit].Coldest();
+  }
 
   // A reclaim candidate and its position in the hash table's array order.
   struct ScanPick {
@@ -112,24 +117,12 @@ class PageCache {
                             std::vector<ScanPick>* picks) const;
 
  private:
-  static constexpr uint32_t kNil = CacheEntry::kNoAgeNode;
   enum ListId : size_t { kUnhit = 0, kConsumed = 1, kNumLists = 2 };
-
-  struct AgeNode {
-    SwapSlot slot = kInvalidSlot;
-    uint32_t older = kNil;
-    uint32_t newer = kNil;  // doubles as the free-list link
-  };
-  struct AgeList {
-    uint32_t oldest = kNil;
-    uint32_t newest = kNil;
-    size_t size = 0;
-  };
 
   // The list an entry in this state belongs to; kNumLists for neither (an
   // entry that was never prefetched and is not yet hit).
   static ListId ListFor(const CacheEntry& entry);
-  // Appends `entry` (cached under `slot`) to the newest end of its list.
+  // Pushes `entry` (cached under `slot`) on the newest end of its list.
   void Link(SwapSlot slot, CacheEntry* entry);
   // Takes `entry` off list `id`, if it is on one.
   void Unlink(CacheEntry* entry, ListId id);
@@ -139,10 +132,8 @@ class PageCache {
   static void FinishPicks(std::vector<ScanPick>* picks);
 
   FlatMap<SwapSlot, CacheEntry> entries_;
-  LruList<SwapSlot> lru_;
-  std::vector<AgeNode> nodes_;  // slab; freed nodes are recycled
-  uint32_t free_nodes_ = kNil;
-  AgeList lists_[kNumLists];
+  LruChain<SwapSlot> lru_;
+  LruChain<SwapSlot> lists_[kNumLists];  // FIFOs: coldest = oldest
   // The latest added_at of any entry that joined the unhit list, and the
   // most any joining entry's added_at fell short of it. Insertion order is
   // added_at order up to this disorder: Machine::Access runs in

@@ -713,7 +713,7 @@ AccessResult Machine::Access(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
 
   const SwapSlot slot = pte->slot;
   if (CacheEntry* entry = cache_.Lookup(slot)) {
-    cache_.TouchLru(slot);
+    cache_.TouchLru(entry);
     if (!entry->is_carcass()) {
       const SimTimeNs hit_cost = data_path_->CacheHitCost(rng_);
       // The access tracker sees every do_swap_page, hits included.
@@ -772,7 +772,7 @@ AccessResult Machine::VfsAccess(Pid pid, Vpn vpn, bool write, SimTimeNs now) {
   };
 
   if (CacheEntry* entry = cache_.Lookup(slot)) {
-    cache_.TouchLru(slot);
+    cache_.TouchLru(entry);
     entry->dirty = entry->dirty || write;
     const SimTimeNs hit_cost = data_path_->CacheHitCost(rng_);
     const bool first_hit = entry->first_hit_at == 0;

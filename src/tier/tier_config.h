@@ -61,7 +61,7 @@ struct TierConfig {
   SimTimeNs migrate_period_ns = 1 * kNsPerMs;
   // Max pages considered for promotion and for demotion per tick.
   size_t migrate_batch = 64;
-  // A lower-tier page is promotion-worthy once its LruList access count
+  // A lower-tier page is promotion-worthy once its tier-list access count
   // reaches this (counts start at 1 on first touch and halve on decay), and
   // a fast-tier page below it is fair game for demotion. 3 means "touched
   // at least twice since arriving on the tier" - one re-reference is not

@@ -11,22 +11,34 @@ TieredStore::TieredStore(const TierConfig& config, BackingStore* remote,
       tiers_{&cxl_, remote, ssd} {}
 
 size_t TieredStore::TierOf(SwapSlot slot) const {
-  const uint8_t* tier = residency_.Find(slot);
-  return tier == nullptr ? kTierCount : *tier;
+  const Residency* residency = residency_.Find(slot);
+  return residency == nullptr ? kTierCount : residency->tier;
 }
 
-size_t TieredStore::PlaceNewSlot(SwapSlot slot) {
-  size_t dest = kTierCxl;
-  if (lru_[kTierCxl].size() >= config_.cxl_capacity_pages) {
-    dest = kTierRemote;
-    if (counters_ != nullptr) {
-      counters_->Add(counter::kTierSpills);
-    }
+uint32_t TieredStore::AccessCount(size_t tier, SwapSlot slot) const {
+  const Residency* residency = residency_.Find(slot);
+  if (residency == nullptr || residency->tier != tier) {
+    return 0;
   }
-  auto [tier, inserted] = residency_.Emplace(slot);
-  *tier = static_cast<uint8_t>(dest);
-  (void)inserted;
-  return dest;
+  return lru_[tier].CountOf(residency->handle);
+}
+
+size_t TieredStore::PlaceNewSlot() {
+  if (lru_[kTierCxl].size() < config_.cxl_capacity_pages) {
+    return kTierCxl;
+  }
+  if (counters_ != nullptr) {
+    counters_->Add(counter::kTierSpills);
+  }
+  return kTierRemote;
+}
+
+void TieredStore::Touch(SwapSlot slot, Residency* residency) {
+  if (residency->handle == LruChain<SwapSlot>::kNoHandle) {
+    residency->handle = lru_[residency->tier].PushFront(slot);
+  } else {
+    lru_[residency->tier].Touch(residency->handle);
+  }
 }
 
 void TieredStore::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now,
@@ -36,19 +48,17 @@ void TieredStore::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now,
   // behavior while letting every page read from its own tier.
   for (size_t i = 0; i < reqs.size(); ++i) {
     const IoRequest& req = reqs[i];
-    size_t tier = TierOf(req.slot);
-    if (tier == kTierCount) {
+    auto [residency, inserted] = residency_.Emplace(req.slot);
+    if (inserted) {
       // A read for a slot never written through this store (defensive:
       // swap-outs precede swap-ins on every path here). Adopt it on the
       // remote tier, where an untracked slot would have lived.
-      tier = kTierRemote;
-      auto [entry, inserted] = residency_.Emplace(req.slot);
-      *entry = static_cast<uint8_t>(tier);
-      (void)inserted;
+      residency->tier = kTierRemote;
     }
+    const size_t tier = residency->tier;
     tiers_[tier]->ReadPages(std::span<const IoRequest>(&req, 1), now, rng,
                             std::span<SimTimeNs>(&ready_at[i], 1));
-    lru_[tier].Touch(req.slot);
+    Touch(req.slot, residency);
     if (counters_ != nullptr && req.cls == IoClass::kDemandRead) {
       counters_->Add(tier == kTierCxl ? counter::kTierFastHits
                                       : counter::kTierSlowHits);
@@ -58,14 +68,14 @@ void TieredStore::ReadPages(std::span<const IoRequest> reqs, SimTimeNs now,
 
 SimTimeNs TieredStore::WritePage(const IoRequest& req, SimTimeNs now,
                                  Rng& rng) {
-  size_t tier = TierOf(req.slot);
-  if (tier == kTierCount) {
-    tier = PlaceNewSlot(req.slot);
+  auto [residency, inserted] = residency_.Emplace(req.slot);
+  if (inserted) {
+    residency->tier = static_cast<uint8_t>(PlaceNewSlot());
   }
   // Known slots rewrite in place: the page's current tier holds the only
   // authoritative copy, so read-your-writes needs no cross-tier fence.
-  lru_[tier].Touch(req.slot);
-  return tiers_[tier]->WritePage(req, now, rng);
+  Touch(req.slot, residency);
+  return tiers_[residency->tier]->WritePage(req, now, rng);
 }
 
 void TieredStore::DecayCounts() {
@@ -76,8 +86,8 @@ void TieredStore::DecayCounts() {
 
 bool TieredStore::MigrateSlot(SwapSlot slot, size_t from, size_t to,
                               SimTimeNs now, Rng& rng) {
-  uint8_t* tier = residency_.Find(slot);
-  if (tier == nullptr || *tier != from || from == to) {
+  Residency* residency = residency_.Find(slot);
+  if (residency == nullptr || residency->tier != from || from == to) {
     return false;
   }
   if (to == kTierCxl && lru_[kTierCxl].size() >= config_.cxl_capacity_pages) {
@@ -91,11 +101,11 @@ bool TieredStore::MigrateSlot(SwapSlot slot, size_t from, size_t to,
   tiers_[from]->ReadPages(std::span<const IoRequest>(&copy, 1), now, rng,
                           std::span<SimTimeNs>(&read_done, 1));
   tiers_[to]->WritePage(copy, read_done, rng);
-  *tier = static_cast<uint8_t>(to);
-  lru_[from].Remove(slot);
+  lru_[from].Erase(residency->handle);
+  residency->tier = static_cast<uint8_t>(to);
   // Heat restarts on the new tier (per-residency-epoch signal; see
-  // header) - Touch seeds the count at 1.
-  lru_[to].Touch(slot);
+  // header) - a new node's count starts at 1.
+  residency->handle = lru_[to].PushFront(slot);
   const bool promotion = to < from;
   if (counters_ != nullptr) {
     counters_->Add(promotion ? counter::kTierPromotions

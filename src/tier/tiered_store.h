@@ -15,9 +15,11 @@
 // TierMigrator's job, so the foreground path stays mechanical and the
 // migration traffic is the only cross-tier bandwidth consumer.
 //
-// Hot/cold signal: each tier keeps an LruList<SwapSlot> whose saturating
-// access counts (bumped per touch, halved by DecayCounts) double as the
-// promotion heat. Counts restart when a page changes tier: heat is a
+// Hot/cold signal: each tier keeps an LruChain<SwapSlot> in recency order
+// whose saturating access counts (bumped per touch, halved by DecayCounts)
+// double as the promotion heat. A slot's residency record holds its tier
+// and its handle on that tier's list, so a touch or a migration is one
+// table probe. Counts restart when a page changes tier: heat is a
 // per-residency-epoch signal, which is exactly the hysteresis that keeps
 // a just-demoted page from bouncing straight back up.
 #ifndef LEAP_SRC_TIER_TIERED_STORE_H_
@@ -65,9 +67,9 @@ class TieredStore : public BackingStore {
   size_t FastCapacityPages() const { return config_.cxl_capacity_pages; }
   // Tier currently holding `slot`; kTierCount when the slot is unknown.
   size_t TierOf(SwapSlot slot) const;
-  uint32_t AccessCount(size_t tier, SwapSlot slot) const {
-    return lru_[tier].AccessCount(slot);
-  }
+  // Accesses to `slot` in its current residency epoch (1 on arrival); 0
+  // unless the slot is resident on `tier`.
+  uint32_t AccessCount(size_t tier, SwapSlot slot) const;
   std::vector<SwapSlot> HottestOf(size_t tier, size_t n) const {
     return lru_[tier].HottestN(n);
   }
@@ -88,15 +90,26 @@ class TieredStore : public BackingStore {
   const TierConfig& config() const { return config_; }
 
  private:
-  size_t PlaceNewSlot(SwapSlot slot);
+  // Where a known slot lives: its tier, and its node on that tier's list
+  // (kNoHandle only until the first touch links it).
+  struct Residency {
+    uint8_t tier = static_cast<uint8_t>(kTierCount);
+    LruChain<SwapSlot>::Handle handle = LruChain<SwapSlot>::kNoHandle;
+  };
+
+  // The tier a new slot is written to (counts a spill).
+  size_t PlaceNewSlot();
+  // Links `slot` on its tier's list, or moves it to the hot end and bumps
+  // its count if it is already there.
+  void Touch(SwapSlot slot, Residency* residency);
 
   TierConfig config_;
   CxlStore cxl_;
   BackingStore* remote_;
   BackingStore* ssd_;
   std::array<BackingStore*, kTierCount> tiers_;
-  FlatMap<SwapSlot, uint8_t> residency_;
-  std::array<LruList<SwapSlot>, kTierCount> lru_;
+  FlatMap<SwapSlot, Residency> residency_;
+  std::array<LruChain<SwapSlot>, kTierCount> lru_;
   Counters* counters_ = nullptr;
   TraceRecorder* trace_ = nullptr;
   uint32_t host_id_ = 0;

@@ -121,137 +121,137 @@ TEST(PageTable, ResidentCount) {
   EXPECT_EQ(table.resident_pages(), 10u);
 }
 
-// --- LruList ---------------------------------------------------------------
+// --- LruChain ----------------------------------------------------------------
 
-TEST(LruList, ColdestIsLeastRecentlyTouched) {
-  LruList<int> lru;
-  lru.Touch(1);
-  lru.Touch(2);
-  lru.Touch(3);
+TEST(LruChain, ColdestIsLeastRecentlyTouched) {
+  LruChain<int> lru;
+  const auto one = lru.PushFront(1);
+  lru.PushFront(2);
+  lru.PushFront(3);
   EXPECT_EQ(lru.Coldest(), 1);
-  lru.Touch(1);  // re-touch warms it
+  lru.Touch(one);  // re-touch warms it
   EXPECT_EQ(lru.Coldest(), 2);
 }
 
-TEST(LruList, RemoveSpecificKey) {
-  LruList<int> lru;
-  lru.Touch(1);
-  lru.Touch(2);
-  lru.Touch(3);
-  EXPECT_TRUE(lru.Remove(2));
-  EXPECT_FALSE(lru.Remove(2));
-  EXPECT_EQ(lru.size(), 2u);
-  EXPECT_FALSE(lru.Contains(2));
-}
-
-TEST(LruList, ColdestNOrder) {
-  LruList<int> lru;
+TEST(LruChain, ColdestNOrder) {
+  LruChain<int> lru;
   for (int i = 0; i < 5; ++i) {
-    lru.Touch(i);
+    lru.PushFront(i);
   }
   const auto coldest = lru.ColdestN(3);
   EXPECT_EQ(coldest, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(lru.size(), 5u);  // non-destructive
+  EXPECT_TRUE(lru.ColdestN(0).empty());
+  EXPECT_EQ(lru.ColdestN(9), (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(LruList, AccessCountsTrackTouches) {
-  LruList<int> lru;
-  EXPECT_EQ(lru.AccessCount(1), 0u);  // unknown key
-  lru.Touch(1);
-  EXPECT_EQ(lru.AccessCount(1), 1u);  // insert seeds at 1
-  lru.Touch(1);
-  lru.Touch(1);
-  EXPECT_EQ(lru.AccessCount(1), 3u);
-}
-
-TEST(LruList, DecayHalvesEveryCount) {
-  LruList<int> lru;
-  for (int t = 0; t < 5; ++t) {
-    lru.Touch(1);
+TEST(LruChain, WalkColdestFirstStopsWhenVisitReturnsFalse) {
+  LruChain<int> lru;
+  for (int i = 0; i < 6; ++i) {
+    lru.PushFront(i);
   }
-  lru.Touch(2);
-  lru.DecayCounts();
-  EXPECT_EQ(lru.AccessCount(1), 2u);  // 5 >> 1
-  EXPECT_EQ(lru.AccessCount(2), 0u);  // 1 >> 1: fully cold
-  lru.DecayCounts();
-  EXPECT_EQ(lru.AccessCount(1), 1u);
+  std::vector<int> seen;
+  lru.WalkColdestFirst([&](int key) {
+    seen.push_back(key);
+    return key != 2;
+  });
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2}));  // nothing after the stop
+  seen.clear();
+  lru.WalkColdestFirst([&](int key) {
+    seen.push_back(key);
+    return true;
+  });
+  EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  LruChain<int> empty;
+  empty.WalkColdestFirst([&](int) {
+    ADD_FAILURE() << "an empty list visits nothing";
+    return true;
+  });
 }
 
-TEST(LruList, RecycledNodesDoNotInheritHeat) {
-  LruList<int> lru;
-  for (int t = 0; t < 10; ++t) {
-    lru.Touch(1);
+TEST(LruChain, AccessCountsTrackTouches) {
+  LruChain<int> lru;
+  const auto h = lru.PushFront(1);
+  EXPECT_EQ(lru.CountOf(h), 1u);  // insert seeds at 1
+  lru.Touch(h);
+  lru.Touch(h);
+  EXPECT_EQ(lru.CountOf(h), 3u);
+}
+
+TEST(LruChain, DecayHalvesEveryCount) {
+  LruChain<int> lru;
+  const auto one = lru.PushFront(1);
+  for (int t = 1; t < 5; ++t) {
+    lru.Touch(one);
   }
-  lru.Remove(1);
-  lru.Touch(2);  // reuses node slot 0
-  EXPECT_EQ(lru.AccessCount(2), 1u);
-  lru.Touch(1);  // the old key back as a fresh insert
-  EXPECT_EQ(lru.AccessCount(1), 1u);
+  const auto two = lru.PushFront(2);
+  lru.DecayCounts();
+  EXPECT_EQ(lru.CountOf(one), 2u);  // 5 >> 1
+  EXPECT_EQ(lru.CountOf(two), 0u);  // 1 >> 1: fully cold
+  lru.DecayCounts();
+  EXPECT_EQ(lru.CountOf(one), 1u);
 }
 
-TEST(LruList, HottestNIsRecencyOrderNonDestructive) {
-  LruList<int> lru;
+TEST(LruChain, RecycledNodesDoNotInheritHeat) {
+  LruChain<int> lru;
+  const auto one = lru.PushFront(1);
+  for (int t = 1; t < 10; ++t) {
+    lru.Touch(one);
+  }
+  lru.Erase(one);
+  const auto two = lru.PushFront(2);  // reuses node slot 0
+  EXPECT_EQ(two, one);
+  EXPECT_EQ(lru.CountOf(two), 1u);
+  const auto again = lru.PushFront(1);  // the old key back as a fresh insert
+  EXPECT_EQ(lru.CountOf(again), 1u);
+}
+
+TEST(LruChain, HottestNIsRecencyOrderNonDestructive) {
+  LruChain<int> lru;
+  std::vector<LruChain<int>::Handle> handles;
   for (int i = 0; i < 5; ++i) {
-    lru.Touch(i);
+    handles.push_back(lru.PushFront(i));
   }
-  lru.Touch(1);  // 1 becomes most recent
+  lru.Touch(handles[1]);  // 1 becomes most recent
   const auto hottest = lru.HottestN(3);
   EXPECT_EQ(hottest, (std::vector<int>{1, 4, 3}));
   EXPECT_EQ(lru.size(), 5u);
 }
 
-TEST(LruList, ColdestSelectionIsDeterministic) {
+TEST(LruChain, ColdestSelectionIsDeterministic) {
   // Two lists built by the same operation sequence agree exactly on the
   // hot/cold boundary - the property the tier migrator's page selection
   // rests on.
-  LruList<int> a;
-  LruList<int> b;
+  LruChain<int> a;
+  LruChain<int> b;
+  std::map<int, std::pair<LruChain<int>::Handle, LruChain<int>::Handle>>
+      handles;
   for (const int key : {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}) {
-    a.Touch(key);
-    b.Touch(key);
+    const auto it = handles.find(key);
+    if (it == handles.end()) {
+      handles[key] = {a.PushFront(key), b.PushFront(key)};
+    } else {
+      a.Touch(it->second.first);
+      b.Touch(it->second.second);
+    }
   }
   a.DecayCounts();
   b.DecayCounts();
   EXPECT_EQ(a.ColdestN(4), b.ColdestN(4));
   EXPECT_EQ(a.HottestN(4), b.HottestN(4));
   EXPECT_EQ(a.Coldest(), b.Coldest());
-  EXPECT_EQ(a.AccessCount(5), b.AccessCount(5));
-  EXPECT_EQ(a.AccessCount(5), 1u);  // 3 touches >> 1
+  EXPECT_EQ(a.CountOf(handles[5].first), b.CountOf(handles[5].second));
+  EXPECT_EQ(a.CountOf(handles[5].first), 1u);  // 3 touches >> 1
 }
 
-TEST(LruList, AccessCountSaturatesAtCap) {
-  LruList<int> lru;
-  for (int t = 0; t < 70000; ++t) {
-    lru.Touch(1);
+TEST(LruChain, AccessCountSaturatesAtCap) {
+  LruChain<int> lru;
+  const auto h = lru.PushFront(1);
+  for (int t = 1; t < 70000; ++t) {
+    lru.Touch(h);
   }
-  EXPECT_EQ(lru.AccessCount(1), 0xFFFFu);
+  EXPECT_EQ(lru.CountOf(h), 0xFFFFu);
 }
-
-// Composite keys (any hashable key type) work through the keyed index.
-struct PidVpn {
-  Pid pid;
-  Vpn vpn;
-  bool operator==(const PidVpn&) const = default;
-};
-
-struct PidVpnHash {
-  size_t operator()(const PidVpn& k) const {
-    return std::hash<uint64_t>()((static_cast<uint64_t>(k.pid) << 48) ^ k.vpn);
-  }
-};
-
-TEST(LruList, PidVpnKeysWork) {
-  LruList<PidVpn, PidVpnHash> lru;
-  lru.Touch({1, 100});
-  lru.Touch({2, 100});
-  EXPECT_TRUE(lru.Contains(PidVpn{1, 100}));
-  EXPECT_TRUE(lru.Contains(PidVpn{2, 100}));
-  EXPECT_EQ(lru.size(), 2u);
-  lru.Remove({1, 100});
-  EXPECT_FALSE(lru.Contains(PidVpn{1, 100}));
-}
-
-// --- LruChain ----------------------------------------------------------------
 
 TEST(LruChain, PopColdestRemoves) {
   LruChain<int> lru;
@@ -312,7 +312,7 @@ TEST(PageCache, LruEvictionOrder) {
   for (SwapSlot s = 0; s < 4; ++s) {
     cache.Insert(s, CacheEntry{});
   }
-  cache.TouchLru(0);  // 0 becomes hottest
+  cache.TouchLru(cache.Lookup(0));  // 0 becomes hottest
   EXPECT_EQ(cache.ColdestSlot(), 1u);
 }
 
@@ -615,7 +615,7 @@ TEST(PageCache, RandomChurnMatchesReferenceModel) {
   CacheModel model;
   Rng rng(20260419);
   SimTimeNs clock = 100;
-  auto touch = [&](SwapSlot slot) { cache.TouchLru(slot); };
+  auto touch = [&](SwapSlot slot) { cache.TouchLru(cache.Lookup(slot)); };
   for (int op = 0; op < 8000; ++op) {
     // Grow for 2000 ops, then shrink for 2000, twice over.
     const bool grow = (op / 2000) % 2 == 0;
