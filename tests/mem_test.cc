@@ -192,20 +192,6 @@ TEST(LruChain, DecayHalvesEveryCount) {
   EXPECT_EQ(lru.CountOf(one), 1u);
 }
 
-TEST(LruChain, RecycledNodesDoNotInheritHeat) {
-  LruChain<int> lru;
-  const auto one = lru.PushFront(1);
-  for (int t = 1; t < 10; ++t) {
-    lru.Touch(one);
-  }
-  lru.Erase(one);
-  const auto two = lru.PushFront(2);  // reuses node slot 0
-  EXPECT_EQ(two, one);
-  EXPECT_EQ(lru.CountOf(two), 1u);
-  const auto again = lru.PushFront(1);  // the old key back as a fresh insert
-  EXPECT_EQ(lru.CountOf(again), 1u);
-}
-
 TEST(LruChain, HottestNIsRecencyOrderNonDestructive) {
   LruChain<int> lru;
   std::vector<LruChain<int>::Handle> handles;
